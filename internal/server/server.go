@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -73,16 +74,19 @@ type Server struct {
 	cache    *cache.Cache[any]
 	adm      *admission
 	ops      *opStore
+	maxBody  int64 // POST body limit, see bodyLimit
 	baseCtx  context.Context
 	shutdown context.CancelFunc
 	started  time.Time
 	closed   atomic.Bool
 }
 
-// testSolveGate, when set, is called by every executed (non-cached) solve
-// while it holds its admission slot — the test seam that lets the suite
-// hold a solve open deterministically. Atomic because a detached solve can
-// still be running when the test that installed the gate clears it.
+// testSolveGate, when set, is called by every scanning stage — an executed
+// (non-cached) solve, verify, color or bound, and the verify inside a solve
+// — while it holds its admission slot: the test seam that lets the suite
+// hold a stage open, or compact a journal between stages, deterministically.
+// Atomic because a detached solve can still be running when the test that
+// installed the gate clears it.
 var testSolveGate atomic.Pointer[func(graph string)]
 
 // New builds a Server over cfg.Registry. Call Close (or Shutdown) when
@@ -104,6 +108,7 @@ func New(cfg Config) *Server {
 		cache:    cache.New[any](base, cfg.CacheEntries),
 		adm:      newAdmission(cfg.MaxSolves, cfg.MaxQueue),
 		ops:      newOpStore(cfg.MaxOps),
+		maxBody:  bodyLimit(cfg.Registry),
 		baseCtx:  base,
 		shutdown: cancel,
 		started:  time.Now(),
@@ -187,21 +192,72 @@ func (s *Server) entry(name string) (*mis.RegistryEntry, *APIError) {
 	return e, nil
 }
 
-// digestOf pins the entry's current generation just long enough to read its
-// content digest (cached per open file after the first computation).
-func digestOf(ctx context.Context, e *mis.RegistryEntry) (string, error) {
-	f, release := e.Acquire()
-	defer release()
-	return f.ContentDigest(ctx)
+// pin is one request's hold on the graph generation it serves. A request
+// acquires its entry once and derives the cache key, runs the computation
+// and verifies on that one generation, so a concurrent journal compaction
+// can never split it across two. The request and every cache computation
+// it starts each hold a reference: a computation runs detached and can
+// outlive the request (see compute).
+type pin struct {
+	graph   string
+	f       *mis.File
+	refs    atomic.Int32
+	release func()
 }
 
-func decodeBody(r *http.Request, v any) *APIError {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return invalid("bad request body: %v", err)
+// acquirePin pins e's current generation with one reference, the caller's.
+func acquirePin(e *mis.RegistryEntry) *pin {
+	f, release := e.Acquire()
+	p := &pin{graph: e.Name(), f: f, release: release}
+	p.refs.Store(1)
+	return p
+}
+
+// hold adds a reference for a new holder.
+func (p *pin) hold() { p.refs.Add(1) }
+
+// drop releases one reference; the last releases the generation.
+func (p *pin) drop() {
+	if p.refs.Add(-1) == 0 {
+		p.release()
 	}
-	return nil
+}
+
+// run is one scanning stage on the pinned generation: it passes admission,
+// then runs fn.
+func (s *Server) run(ctx context.Context, p *pin, fn func(context.Context, *mis.File) (any, error)) (any, error) {
+	if err := s.adm.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.adm.release()
+	if gate := testSolveGate.Load(); gate != nil {
+		(*gate)(p.graph)
+	}
+	return fn(ctx, p.f)
+}
+
+// compute answers key through the cache, running fn as a stage on p's
+// generation on a miss. The computation holds its own reference on p until
+// it returns: it runs on a detached goroutine that keeps going when this
+// request leaves at its deadline while other requests still wait on it.
+func (s *Server) compute(ctx context.Context, key string, p *pin, fn func(context.Context, *mis.File) (any, error)) (any, cache.Outcome, error) {
+	p.hold()
+	v, outcome, err := s.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
+		defer p.drop()
+		return s.run(cctx, p, fn)
+	})
+	if outcome != cache.Miss {
+		p.drop() // only a miss runs fn, which drops the computation's hold
+	}
+	return v, outcome, err
+}
+
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *APIError {
+	body, ae := s.readBody(w, r)
+	if ae != nil {
+		return ae
+	}
+	return decodeJSON(body, v)
 }
 
 // ---- solve ----
@@ -220,18 +276,18 @@ func solveKey(digest string, req *SolveRequest) string {
 	return fmt.Sprintf("solve|%s|%s|mr=%d|es=%d|seed=%d", digest, req.Algorithm, req.MaxRounds, req.EarlyStop, req.Seed)
 }
 
-// cachedSolve is the cache value for a solve key. The result is shared by
-// every request that hits the entry: treat it as immutable.
+// cachedSolve is the cache value for a solve key, computed on a generation
+// with the key's digest. The result is shared by every request that hits
+// the entry: treat it as immutable.
 type cachedSolve struct {
 	res       *mis.Result
-	digest    string
 	elapsedMS int64
 	verified  atomic.Bool
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if ae := decodeBody(r, &req); ae != nil {
+	if ae := s.decodeBody(w, r, &req); ae != nil {
 		s.writeError(w, r, ae)
 		return
 	}
@@ -245,60 +301,80 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	p := acquirePin(e)
 	if req.Async {
-		s.startSolveOp(w, r, e, &req)
+		s.startSolveOp(w, p, &req)
 		return
 	}
+	defer p.drop()
 
 	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
-	resp, err := s.solve(ctx, e, &req, nil)
+	resp, res, err := s.solve(ctx, p, &req, nil)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if !req.IncludeVertices {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	body, err := encodeSolveResponse(resp, members(res.InSet))
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
-// solve answers one solve request through the cache; events, when non-nil,
+// solve answers one solve request on p's generation through the cache. The
+// response carries no vertex list: the caller renders one from the
+// returned result when the request asks for it. events, when non-nil,
 // receives round/progress events if this request ends up executing the
 // solve (a request deduplicated onto an in-flight solve only observes
 // completion).
-func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequest, events func(Event)) (*SolveResponse, error) {
-	digest, err := digestOf(ctx, e)
+func (s *Server) solve(ctx context.Context, p *pin, req *SolveRequest, events func(Event)) (*SolveResponse, *mis.Result, error) {
+	digest, err := p.f.ContentDigest(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fn := func(cctx context.Context) (any, error) { return s.executeSolve(cctx, e, req, events) }
+	fn := func(cctx context.Context, f *mis.File) (any, error) { return s.executeSolve(cctx, f, req, events) }
 
 	var (
 		v       any
 		outcome cache.Outcome
 	)
 	if req.NoCache {
-		v, err = fn(ctx)
+		v, err = s.run(ctx, p, fn)
 		outcome = cache.Miss
 	} else {
-		v, outcome, err = s.cache.Do(ctx, solveKey(digest, req), fn)
+		v, outcome, err = s.compute(ctx, solveKey(digest, req), p, fn)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cs := v.(*cachedSolve)
 
+	// The result was computed on a generation with p's digest, so verifying
+	// on p checks exactly the graph the response names.
 	verified := cs.verified.Load()
 	if req.Verify && !verified {
-		if err := s.verifyResult(ctx, e, cs.res); err != nil {
-			return nil, err
+		_, err := s.run(ctx, p, func(ctx context.Context, f *mis.File) (any, error) {
+			return nil, mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, cs.res)
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 		cs.verified.Store(true)
 		verified = true
 	}
 
-	resp := &SolveResponse{
-		Graph:       e.Name(),
+	return &SolveResponse{
+		Graph:       p.graph,
 		Algorithm:   req.Algorithm,
-		Digest:      cs.digest,
+		Digest:      digest,
 		Size:        cs.res.Size,
 		Rounds:      cs.res.Rounds,
 		RoundGains:  cs.res.RoundGains,
@@ -307,28 +383,13 @@ func (s *Server) solve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequ
 		Verified:    verified && req.Verify,
 		Cache:       outcome.String(),
 		ElapsedMS:   cs.elapsedMS,
-	}
-	if req.IncludeVertices {
-		resp.Vertices = cs.res.Vertices()
-	}
-	return resp, nil
+	}, cs.res, nil
 }
 
-// executeSolve is the cache-miss path: the one goroutine that actually
-// scans. It passes admission, pins the entry's current generation, and runs
-// the algorithm with the solver's event hooks wired to the sink.
-func (s *Server) executeSolve(ctx context.Context, e *mis.RegistryEntry, req *SolveRequest, events func(Event)) (any, error) {
-	if err := s.adm.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-	if gate := testSolveGate.Load(); gate != nil {
-		(*gate)(e.Name())
-	}
-
-	f, release := e.Acquire()
-	defer release()
-
+// executeSolve is the cache-miss stage: the one goroutine that actually
+// scans. It runs the algorithm on f with the solver's event hooks wired to
+// the sink.
+func (s *Server) executeSolve(ctx context.Context, f *mis.File, req *SolveRequest, events func(Event)) (any, error) {
 	opts := []mis.SolverOption{
 		mis.MaxRounds(req.MaxRounds),
 		mis.EarlyStop(req.EarlyStop),
@@ -360,15 +421,7 @@ func (s *Server) executeSolve(ctx context.Context, e *mis.RegistryEntry, req *So
 	if err != nil {
 		return nil, err
 	}
-	// The digest of the generation actually solved: under a rare race with
-	// a concurrent compaction it may differ from the key's digest, and the
-	// response reports the truth (the stale key can never be addressed
-	// again — new requests compute the new digest).
-	digest, err := f.ContentDigest(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedSolve{res: res, digest: digest, elapsedMS: time.Since(start).Milliseconds()}, nil
+	return &cachedSolve{res: res, elapsedMS: time.Since(start).Milliseconds()}, nil
 }
 
 // progressThrottle converts scan progress to events at ~1% granularity so
@@ -383,24 +436,15 @@ func progressThrottle(events func(Event)) func(mis.ScanProgress) {
 	}
 }
 
-// verifyResult runs the fused verify scan for a solve that asked for it.
-func (s *Server) verifyResult(ctx context.Context, e *mis.RegistryEntry, res *mis.Result) error {
-	if err := s.adm.acquire(ctx); err != nil {
-		return err
-	}
-	defer s.adm.release()
-	f, release := e.Acquire()
-	defer release()
-	return mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
-}
-
-// startSolveOp runs the solve as a background operation.
-func (s *Server) startSolveOp(w http.ResponseWriter, r *http.Request, e *mis.RegistryEntry, req *SolveRequest) {
+// startSolveOp runs the solve as a background operation on p's generation;
+// the operation drops p when it finishes.
+func (s *Server) startSolveOp(w http.ResponseWriter, p *pin, req *SolveRequest) {
 	ctx, cancel := s.requestCtx(s.baseCtx, req.TimeoutMS)
-	op := s.ops.add("solve", e.Name(), req.Algorithm, cancel)
+	op := s.ops.add("solve", p.graph, req.Algorithm, cancel)
 	go func() {
 		defer cancel()
-		resp, err := s.solve(ctx, e, req, op.emit)
+		defer p.drop()
+		resp, res, err := s.solve(ctx, p, req, op.emit)
 		if err != nil {
 			_, ae := apiError(err)
 			if ae.Code == CodeInternal {
@@ -408,6 +452,9 @@ func (s *Server) startSolveOp(w http.ResponseWriter, r *http.Request, e *mis.Reg
 			}
 			op.finish(nil, ae, errors.Is(err, context.Canceled))
 			return
+		}
+		if req.IncludeVertices {
+			resp.Vertices = res.Vertices()
 		}
 		op.finish(resp, nil, false)
 	}()
@@ -421,22 +468,32 @@ func (s *Server) startSolveOp(w http.ResponseWriter, r *http.Request, e *mis.Reg
 type cachedVerify struct {
 	ok     bool
 	reason string
-	digest string
 }
 
+// verifyKey names a (digest, vertex set) pair by the SHA-256 of the list's
+// little-endian bytes, hashed in one buffered pass.
 func verifyKey(digest string, vertices []uint32) string {
 	h := sha256.New()
-	var buf [4]byte
+	buf := make([]byte, 0, 4096)
 	for _, v := range vertices {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return fmt.Sprintf("verify|%s|%s", digest, hex.EncodeToString(h.Sum(nil)))
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if ae := decodeBody(r, &req); ae != nil {
+	body, ae := s.readBody(w, r)
+	if ae != nil {
+		s.writeError(w, r, ae)
+		return
+	}
+	req, ae := decodeVerifyRequest(body)
+	if ae != nil {
 		s.writeError(w, r, ae)
 		return
 	}
@@ -447,14 +504,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
+	p := acquirePin(e)
+	defer p.drop()
 
-	digest, err := digestOf(ctx, e)
+	digest, err := p.f.ContentDigest(ctx)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	v, outcome, err := s.cache.Do(ctx, verifyKey(digest, req.Vertices), func(cctx context.Context) (any, error) {
-		return s.executeVerify(cctx, e, req.Vertices)
+	v, outcome, err := s.compute(ctx, verifyKey(digest, req.Vertices), p, func(cctx context.Context, f *mis.File) (any, error) {
+		return s.executeVerify(cctx, f, req.Vertices)
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -463,21 +522,14 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	cv := v.(*cachedVerify)
 	writeJSON(w, http.StatusOK, VerifyResponse{
 		Graph:  e.Name(),
-		Digest: cv.digest,
+		Digest: digest,
 		OK:     cv.ok,
 		Reason: cv.reason,
 		Cache:  outcome.String(),
 	})
 }
 
-func (s *Server) executeVerify(ctx context.Context, e *mis.RegistryEntry, vertices []uint32) (any, error) {
-	if err := s.adm.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.adm.release()
-	f, release := e.Acquire()
-	defer release()
-
+func (s *Server) executeVerify(ctx context.Context, f *mis.File, vertices []uint32) (any, error) {
 	inSet := make([]bool, f.NumVertices())
 	for _, v := range vertices {
 		if int(v) >= len(inSet) {
@@ -486,33 +538,28 @@ func (s *Server) executeVerify(ctx context.Context, e *mis.RegistryEntry, vertic
 		inSet[v] = true
 	}
 	res := &mis.Result{InSet: inSet, Size: len(vertices)}
-	digest, err := f.ContentDigest(ctx)
-	if err != nil {
-		return nil, err
-	}
-	err = mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
+	err := mis.NewSolver(f, mis.Workers(s.cfg.Workers)).Verify(ctx, res)
 	if err == nil {
-		return &cachedVerify{ok: true, digest: digest}, nil
+		return &cachedVerify{ok: true}, nil
 	}
 	// A deadline, cancellation or I/O failure is this request's problem; a
 	// verification verdict is a cacheable fact about (graph, set).
 	if _, ae := apiError(err); ae.Code != CodeInternal && ae.Code != CodeVerifyFailed {
 		return nil, err
 	}
-	return &cachedVerify{ok: false, reason: err.Error(), digest: digest}, nil
+	return &cachedVerify{ok: false, reason: err.Error()}, nil
 }
 
 // ---- color and bound ----
 
 type cachedColor struct {
 	col       *mis.Coloring
-	digest    string
 	elapsedMS int64
 }
 
 func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	var req ColorRequest
-	if ae := decodeBody(r, &req); ae != nil {
+	if ae := s.decodeBody(w, r, &req); ae != nil {
 		s.writeError(w, r, ae)
 		return
 	}
@@ -523,30 +570,22 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
+	p := acquirePin(e)
+	defer p.drop()
 
-	digest, err := digestOf(ctx, e)
+	digest, err := p.f.ContentDigest(ctx)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
 	key := fmt.Sprintf("color|%s|mc=%d", digest, req.MaxColors)
-	v, outcome, err := s.cache.Do(ctx, key, func(cctx context.Context) (any, error) {
-		if err := s.adm.acquire(cctx); err != nil {
-			return nil, err
-		}
-		defer s.adm.release()
-		f, release := e.Acquire()
-		defer release()
-		d, err := f.ContentDigest(cctx)
-		if err != nil {
-			return nil, err
-		}
+	v, outcome, err := s.compute(ctx, key, p, func(cctx context.Context, f *mis.File) (any, error) {
 		start := time.Now()
 		col, err := mis.NewSolver(f, mis.Workers(s.cfg.Workers)).ColorByIS(cctx, req.MaxColors)
 		if err != nil {
 			return nil, err
 		}
-		return &cachedColor{col: col, digest: d, elapsedMS: time.Since(start).Milliseconds()}, nil
+		return &cachedColor{col: col, elapsedMS: time.Since(start).Milliseconds()}, nil
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -555,7 +594,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	cc := v.(*cachedColor)
 	writeJSON(w, http.StatusOK, ColorResponse{
 		Graph:      e.Name(),
-		Digest:     cc.digest,
+		Digest:     digest,
 		NumColors:  cc.col.NumColors,
 		ClassSizes: cc.col.ClassSizes,
 		Cache:      outcome.String(),
@@ -564,9 +603,8 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 }
 
 type cachedBound struct {
-	upper  uint64
-	wei    float64
-	digest string
+	upper uint64
+	wei   float64
 }
 
 func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
@@ -577,23 +615,15 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r.Context(), 0)
 	defer cancel()
+	p := acquirePin(e)
+	defer p.drop()
 
-	digest, err := digestOf(ctx, e)
+	digest, err := p.f.ContentDigest(ctx)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	v, outcome, err := s.cache.Do(ctx, "bound|"+digest, func(cctx context.Context) (any, error) {
-		if err := s.adm.acquire(cctx); err != nil {
-			return nil, err
-		}
-		defer s.adm.release()
-		f, release := e.Acquire()
-		defer release()
-		d, err := f.ContentDigest(cctx)
-		if err != nil {
-			return nil, err
-		}
+	v, outcome, err := s.compute(ctx, "bound|"+digest, p, func(cctx context.Context, f *mis.File) (any, error) {
 		solver := mis.NewSolver(f, mis.Workers(s.cfg.Workers))
 		upper, err := solver.UpperBound(cctx)
 		if err != nil {
@@ -603,7 +633,7 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &cachedBound{upper: upper, wei: wei, digest: d}, nil
+		return &cachedBound{upper: upper, wei: wei}, nil
 	})
 	if err != nil {
 		s.writeError(w, r, err)
@@ -612,7 +642,7 @@ func (s *Server) handleBound(w http.ResponseWriter, r *http.Request) {
 	cb := v.(*cachedBound)
 	writeJSON(w, http.StatusOK, BoundResponse{
 		Graph:  e.Name(),
-		Digest: cb.digest,
+		Digest: digest,
 		Upper:  cb.upper,
 		Wei:    cb.wei,
 		Cache:  outcome.String(),

@@ -5,17 +5,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	mis "repro"
+	"repro/internal/cache"
 	"repro/internal/shard"
 )
 
@@ -761,5 +766,315 @@ func TestShardedGraphInfo(t *testing.T) {
 	}
 	if first.Digest == "" || first.Digest != second.Digest {
 		t.Errorf("digests %q vs %q", first.Digest, second.Digest)
+	}
+}
+
+// TestGenerationPinnedPerRequest compacts the journal graph inside every
+// scanning stage of a request — between deriving the cache key and
+// computing, and between computing and verifying — each time connecting two
+// members of the path's independent set. The request must still answer for
+// the generation it started on: its digest, its set, its verification and
+// its verdict are that generation's.
+func TestGenerationPinnedPerRequest(t *testing.T) {
+	// setup serves a fresh daemon and returns the journal graph's starting
+	// digest, the path's greedy set (from the identical plain graph "a",
+	// uncached: "a" and "dyn" share a digest, so a cached result would be a
+	// hit for "dyn"), and the number of compactions the gate has run.
+	setup := func(t *testing.T) (d *testDaemon, digest string, set []uint32, compactions *atomic.Int32) {
+		t.Helper()
+		d = newTestDaemon(t, Config{})
+		var ref SolveResponse
+		req := solveReq("a")
+		req.IncludeVertices = true
+		req.NoCache = true
+		if _, ae := d.post(t, "/v1/solve", req, &ref); ae != nil {
+			t.Fatal(ae)
+		}
+		if len(ref.Vertices) != 3 {
+			t.Fatalf("path greedy set %v, want 3 vertices", ref.Vertices)
+		}
+		var gi GraphInfo
+		if _, ae := d.get(t, "/v1/graphs/dyn", &gi); ae != nil {
+			t.Fatal(ae)
+		}
+
+		e, _ := d.reg.Get("dyn")
+		j := e.Journal()
+		set = ref.Vertices
+		pairs := [][2]uint32{{set[0], set[1]}, {set[1], set[2]}, {set[0], set[2]}}
+		compactions = new(atomic.Int32)
+		setGate(t, func(graph string) {
+			if graph != "dyn" {
+				return
+			}
+			i := compactions.Add(1) - 1
+			if int(i) >= len(pairs) {
+				t.Errorf("stage %d: more stages than edges to insert", i)
+				return
+			}
+			if err := j.InsertEdge(pairs[i][0], pairs[i][1]); err != nil {
+				t.Error(err)
+			}
+			if err := j.Compact(context.Background()); err != nil {
+				t.Error(err)
+			}
+		})
+		return d, gi.Digest, set, compactions
+	}
+	// unscanned checks that the generations the gate installed were never
+	// scanned: every stage ran on the request's own.
+	unscanned := func(t *testing.T, d *testDaemon, digest string) {
+		t.Helper()
+		var gi GraphInfo
+		if _, ae := d.get(t, "/v1/graphs/dyn", &gi); ae != nil {
+			t.Fatal(ae)
+		}
+		if gi.Digest == digest {
+			t.Fatal("the journal graph did not move to a new generation")
+		}
+		if gi.IO.Scans != 0 {
+			t.Errorf("the current generation was scanned %d times, want 0", gi.IO.Scans)
+		}
+	}
+	checkSolve := func(t *testing.T, resp *SolveResponse, digest string, set []uint32) {
+		t.Helper()
+		if resp.Digest != digest {
+			t.Errorf("digest %s, want the request's generation %s", resp.Digest, digest)
+		}
+		if !resp.Verified {
+			t.Error("solve not verified")
+		}
+		if !slices.Equal(resp.Vertices, set) {
+			t.Errorf("set %v, want the path's %v", resp.Vertices, set)
+		}
+	}
+
+	t.Run("solve", func(t *testing.T) {
+		d, digest, set, compactions := setup(t)
+		req := &SolveRequest{Graph: "dyn", Algorithm: "greedy", Verify: true, IncludeVertices: true}
+		var resp SolveResponse
+		if code, ae := d.post(t, "/v1/solve", req, &resp); ae != nil {
+			t.Fatalf("solve: %d %v", code, ae)
+		}
+		if n := compactions.Load(); n != 2 {
+			t.Fatalf("%d compactions, want one before the solve and one before the verify", n)
+		}
+		checkSolve(t, &resp, digest, set)
+		unscanned(t, d, digest)
+	})
+
+	t.Run("solve-async", func(t *testing.T) {
+		d, digest, set, compactions := setup(t)
+		req := &SolveRequest{Graph: "dyn", Algorithm: "greedy", Verify: true, IncludeVertices: true, Async: true}
+		var ref OperationRef
+		if code, ae := d.post(t, "/v1/solve", req, &ref); ae != nil {
+			t.Fatalf("async solve: %d %v", code, ae)
+		}
+		var info OperationInfo
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if _, ae := d.get(t, "/v1/operations/"+ref.Operation, &info); ae != nil {
+				t.Fatal(ae)
+			}
+			if info.Status != opRunning {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("operation stuck running")
+			}
+		}
+		if info.Status != opDone || info.Result == nil {
+			t.Fatalf("operation finished %q: %+v", info.Status, info.Error)
+		}
+		if n := compactions.Load(); n != 2 {
+			t.Fatalf("%d compactions, want 2", n)
+		}
+		checkSolve(t, info.Result, digest, set)
+		unscanned(t, d, digest)
+	})
+
+	t.Run("verify", func(t *testing.T) {
+		d, digest, set, compactions := setup(t)
+		var resp VerifyResponse
+		if code, ae := d.post(t, "/v1/verify", &VerifyRequest{Graph: "dyn", Vertices: set}, &resp); ae != nil {
+			t.Fatalf("verify: %d %v", code, ae)
+		}
+		if n := compactions.Load(); n != 1 {
+			t.Fatalf("%d compactions, want 1", n)
+		}
+		if resp.Digest != digest || !resp.OK {
+			t.Errorf("verdict ok=%v (%s) on %s, want ok on the request's generation %s", resp.OK, resp.Reason, resp.Digest, digest)
+		}
+		unscanned(t, d, digest)
+	})
+
+	// pathSolver runs the library on the plain copy of the starting graph.
+	pathSolver := func(t *testing.T, d *testDaemon) *mis.Solver {
+		t.Helper()
+		e, _ := d.reg.Get("a")
+		f, release := e.Acquire()
+		t.Cleanup(release)
+		return mis.NewSolver(f)
+	}
+
+	t.Run("color", func(t *testing.T) {
+		d, digest, _, compactions := setup(t)
+		want, err := pathSolver(t, d).ColorByIS(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp ColorResponse
+		if code, ae := d.post(t, "/v1/color", &ColorRequest{Graph: "dyn"}, &resp); ae != nil {
+			t.Fatalf("color: %d %v", code, ae)
+		}
+		if n := compactions.Load(); n != 1 {
+			t.Fatalf("%d compactions, want 1", n)
+		}
+		if resp.Digest != digest {
+			t.Errorf("digest %s, want the request's generation %s", resp.Digest, digest)
+		}
+		if resp.NumColors != want.NumColors || !slices.Equal(resp.ClassSizes, want.ClassSizes) {
+			t.Errorf("coloring %d %v, want the path's %d %v", resp.NumColors, resp.ClassSizes, want.NumColors, want.ClassSizes)
+		}
+		unscanned(t, d, digest)
+	})
+
+	t.Run("bound", func(t *testing.T) {
+		d, digest, _, compactions := setup(t)
+		solver := pathSolver(t, d)
+		upper, err := solver.UpperBound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wei, err := solver.WeiBound(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp BoundResponse
+		if code, ae := d.get(t, "/v1/graphs/dyn/bound", &resp); ae != nil {
+			t.Fatalf("bound: %d %v", code, ae)
+		}
+		if n := compactions.Load(); n != 1 {
+			t.Fatalf("%d compactions, want 1", n)
+		}
+		if resp.Digest != digest {
+			t.Errorf("digest %s, want the request's generation %s", resp.Digest, digest)
+		}
+		if resp.Upper != upper || resp.Wei != wei {
+			t.Errorf("bounds %d %g, want the path's %d %g", resp.Upper, resp.Wei, upper, wei)
+		}
+		unscanned(t, d, digest)
+	})
+}
+
+// TestComputationHoldsItsOwnPin: a cache computation keeps the request's
+// generation pinned after the request that started it has detached, until
+// the computation returns; a request answered from the cache leaves no
+// reference behind.
+func TestComputationHoldsItsOwnPin(t *testing.T) {
+	d := newTestDaemon(t, Config{})
+	e, _ := d.reg.Get("dyn")
+	f, release := e.Acquire()
+	released := make(chan struct{})
+	p := &pin{graph: "dyn", f: f, release: func() { release(); close(released) }}
+	p.refs.Store(1)
+
+	started, finish := make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := d.srv.compute(ctx, "pin-test", p, func(context.Context, *mis.File) (any, error) {
+			close(started)
+			<-finish
+			return "done", nil
+		})
+		errc <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("detached request: %v, want context.Canceled", err)
+	}
+	p.drop() // the request's own reference
+	select {
+	case <-released:
+		t.Fatal("generation released while the computation still runs")
+	default:
+	}
+	close(finish)
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the computation never released its reference")
+	}
+
+	// A request answered from the cache runs nothing and keeps no extra
+	// reference. A miss that returns has run its computation to the end.
+	f2, release2 := e.Acquire()
+	defer release2()
+	p2 := &pin{graph: "dyn", f: f2, release: func() {}}
+	p2.refs.Store(1)
+	fill := func(context.Context, *mis.File) (any, error) { return "v", nil }
+	for _, want := range []cache.Outcome{cache.Miss, cache.Hit} {
+		_, outcome, err := d.srv.compute(context.Background(), "hit-test", p2, fill)
+		if err != nil || outcome != want {
+			t.Fatalf("compute: %v %v, want %v", outcome, err, want)
+		}
+		if n := p2.refs.Load(); n != 1 {
+			t.Fatalf("%d references after a %v, want the request's 1", n, outcome)
+		}
+	}
+}
+
+// TestBodyLimit: POST bodies are bounded by the longest vertex list the
+// largest graph can need plus the envelope allowance. A body one byte over
+// is refused with invalid_argument naming the limit before any of it is
+// parsed, whether or not the client declared its length.
+func TestBodyLimit(t *testing.T) {
+	d := newTestDaemon(t, Config{})
+	limit := d.srv.maxBody
+	if want := int64(11*6 + envelopeBytes); limit != want {
+		t.Fatalf("limit %d, want %d: 11 bytes per vertex of the largest graph plus %d", limit, want, envelopeBytes)
+	}
+
+	post := func(path string, body io.Reader) (int, *APIError) {
+		t.Helper()
+		r, err := http.Post(d.http.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		return decodeResponse(t, r, nil)
+	}
+	// json.Decoder never reads past the first value, so padding after it
+	// keeps a body valid at any length.
+	pad := func(body string, n int64) string { return body + strings.Repeat(" ", int(n)-len(body)) }
+	unsized := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s)) }
+
+	atLimit := pad(`{"graph":"a","vertices":[0,2,4]}`, limit)
+	if code, ae := post("/v1/verify", strings.NewReader(atLimit)); ae != nil {
+		t.Fatalf("body at the limit: %d %v", code, ae)
+	}
+	if code, ae := post("/v1/verify", unsized(atLimit)); ae != nil {
+		t.Fatalf("unsized body at the limit: %d %v", code, ae)
+	}
+
+	over := pad(`{nope`, limit+1)
+	for _, tc := range []struct {
+		name string
+		path string
+		body io.Reader
+	}{
+		{"verify", "/v1/verify", strings.NewReader(over)},
+		{"verify without Content-Length", "/v1/verify", unsized(over)},
+		{"solve", "/v1/solve", strings.NewReader(over)},
+		{"color without Content-Length", "/v1/color", unsized(over)},
+	} {
+		code, ae := post(tc.path, tc.body)
+		if ae == nil || code != http.StatusBadRequest || ae.Code != CodeInvalidArgument {
+			t.Fatalf("%s: one byte over the limit: %d %v, want 400 %q", tc.name, code, ae, CodeInvalidArgument)
+		}
+		if !strings.Contains(ae.Message, strconv.FormatInt(limit, 10)) {
+			t.Errorf("%s: message %q does not name the %d-byte limit", tc.name, ae.Message, limit)
+		}
 	}
 }
