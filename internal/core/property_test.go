@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -26,7 +34,16 @@ import (
 //   - the parallel partitioned executor at workers 2 and 4 reproduces the
 //     sequential result exactly;
 //   - the scan accounting stays sane (PhysicalScans ≤ Scans, fused logical
-//     count equal to unfused).
+//     count equal to unfused);
+//   - every algorithm's result is bit-identical to the one recorded in
+//     testdata/result_identity.golden (see resultDigest), so a change that
+//     claims to leave results untouched is checked against the recorded
+//     outputs, not only against itself.
+
+var updateGolden = flag.Bool("update", false, "rewrite "+identityGolden+" from this run")
+
+// identityGolden holds one line per (case, algorithm): "<case> <alg> <digest>".
+const identityGolden = "testdata/result_identity.golden"
 
 // propertyGraphs yields the generator sweep: one power-law and one uniform
 // graph per seed. Sizes are kept small enough that the whole matrix (seeds ×
@@ -72,34 +89,149 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestPropertyAllAlgorithms is the seed sweep over all six algorithms.
+// TestPropertyAllAlgorithms is the seed sweep over all six algorithms, plus
+// two larger power-law graphs whose hubs and multi-round swaps reach code
+// paths the 150-vertex sweep rarely does.
 func TestPropertyAllAlgorithms(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if testing.Short() {
+		if *updateGolden {
+			t.Fatal("-update needs the full sweep; drop -short")
+		}
 		seeds = seeds[:3]
 	}
-	multiround := 0
+	golden := readIdentityGolden(t)
+	got := make(map[string]string)
+	multiround, cases := 0, 0
+	runCase := func(name string, gen func() *graph.Graph) {
+		cases++
+		t.Run(name, func(t *testing.T) {
+			mr, digests := runPropertyCase(t, gen())
+			multiround += mr
+			for _, alg := range sortedKeys(digests) {
+				key := name + " " + alg
+				got[key] = digests[alg]
+				if *updateGolden {
+					continue
+				}
+				if want, ok := golden[key]; !ok {
+					t.Errorf("%s: no entry in %s (record it with -update)", key, identityGolden)
+				} else if want != digests[alg] {
+					t.Errorf("%s: result digest %s, golden %s", key, digests[alg], want)
+				}
+			}
+		})
+	}
 	for _, seed := range seeds {
 		for model, g := range propertyGraphs(seed) {
-			t.Run(fmt.Sprintf("%s-seed%d", model, seed), func(t *testing.T) {
-				multiround += runPropertyCase(t, g)
-			})
+			runCase(fmt.Sprintf("%s-seed%d", model, seed), func() *graph.Graph { return g })
 		}
+	}
+	for _, beta := range []float64{1.8, 2.2} {
+		runCase(fmt.Sprintf("plrg20k-beta%.1f", beta), func() *graph.Graph {
+			return plrg.PowerLawN(20000, beta, 1)
+		})
 	}
 	// The sweep must actually exercise the cross-round carry: demand that a
 	// reasonable share of the generated graphs took ≥ 2 swap rounds.
 	if min := len(seeds) / 3; multiround < min {
-		t.Errorf("only %d of %d seed/model cases ran multi-round swaps (want ≥ %d); regenerate the sweep parameters",
-			multiround, 2*len(seeds), min)
+		t.Errorf("only %d of %d cases ran multi-round swaps (want ≥ %d); regenerate the sweep parameters",
+			multiround, cases, min)
 	}
+	if *updateGolden {
+		writeIdentityGolden(t, got)
+	}
+}
+
+// resultDigest is a SHA-256 over every output a run reports that a
+// result-preserving change must leave bit-identical: the set, its size, the
+// round trace, the SC high-water mark, the memory accounting and the
+// logical, physical and carried scan counts.
+func resultDigest(r *Result) string {
+	b := make([]byte, 0, len(r.InSet)+128)
+	for _, in := range r.InSet {
+		if in {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	put := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
+	put(uint64(len(r.InSet)))
+	put(uint64(r.Size))
+	put(uint64(r.Rounds))
+	put(uint64(len(r.RoundGains)))
+	for _, g := range r.RoundGains {
+		put(uint64(g))
+	}
+	put(uint64(r.SCHighWater))
+	put(r.MemoryBytes)
+	put(uint64(r.IO.Scans))
+	put(uint64(r.IO.PhysicalScans))
+	put(uint64(r.IO.CarriedScans))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// readIdentityGolden loads identityGolden as "<case> <alg>" → digest. Under
+// -update a missing file reads as empty.
+func readIdentityGolden(t *testing.T) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	f, err := os.Open(identityGolden)
+	if os.IsNotExist(err) && *updateGolden {
+		return out
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 3 {
+			t.Fatalf("%s: malformed line %q", identityGolden, sc.Text())
+		}
+		out[fields[0]+" "+fields[1]] = fields[2]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeIdentityGolden rewrites identityGolden from got, one sorted line per
+// (case, algorithm).
+func writeIdentityGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	for _, key := range sortedKeys(got) {
+		fmt.Fprintf(&b, "%s %s\n", key, got[key])
+	}
+	if err := os.MkdirAll(filepath.Dir(identityGolden), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(identityGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // runPropertyCase checks every property on one graph and reports whether
 // the swap algorithms ran more than one round (i.e. the cross-round carry
-// was exercised in steady state).
-func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
+// was exercised in steady state), along with each algorithm's resultDigest.
+func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[string]string) {
 	t.Helper()
 	f := writeSorted(t, g)
+	digests = make(map[string]string)
 
 	// Greedy seeds the swaps and must itself be independent + maximal.
 	seed, err := Greedy(f)
@@ -109,6 +241,7 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 	if err := VerifyBoth(f, seed.InSet); err != nil {
 		t.Fatalf("greedy: %v", err)
 	}
+	digests["greedy"] = resultDigest(seed)
 
 	base, err := Baseline(f)
 	if err != nil {
@@ -117,6 +250,7 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 	if err := VerifyBoth(f, base.InSet); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
+	digests["baseline"] = resultDigest(base)
 
 	ext, err := ExternalMaximal(f, ExternalMaximalOptions{})
 	if err != nil {
@@ -125,6 +259,7 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 	if err := VerifyBoth(f, ext.InSet); err != nil {
 		t.Fatalf("external-maximal: %v", err)
 	}
+	digests["external-maximal"] = resultDigest(ext)
 
 	// DynamicUpdate is the in-memory competitor; verify against the graph.
 	dyn := DynamicUpdate(g)
@@ -134,6 +269,7 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 	if err := VerifyMaximalGraph(g, dyn.InSet); err != nil {
 		t.Fatalf("dynamic-update: %v", err)
 	}
+	digests["dynamic-update"] = resultDigest(dyn)
 
 	// Swap algorithms: fused vs unfused parity, verification, monotone
 	// improvement over the seed, and workers parity.
@@ -162,6 +298,7 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 		if fused.Rounds > 1 {
 			multiround = 1
 		}
+		digests[alg.name] = resultDigest(fused)
 
 		unfused, err := alg.run(f, SwapOptions{Unfused: true})
 		if err != nil {
@@ -202,5 +339,5 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int) {
 		}
 		requireSameResult(t, fmt.Sprintf("external-maximal workers=%d", workers), ext, pe)
 	}
-	return multiround
+	return multiround, digests
 }
