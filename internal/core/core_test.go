@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/gio"
@@ -127,6 +128,29 @@ func TestOneKSwapFigure2(t *testing.T) {
 	mustMaximal(t, f, r.InSet)
 	if r.Size != 3 {
 		t.Fatalf("one-k-swap on Figure 2: size %d, want 3", r.Size)
+	}
+}
+
+// TestOneTwoWitnessBoundary pins the 1-2 swap witness test at its boundary
+// |ISN⁻¹(w)| = x + 2, where exactly one witness exists. Scanned in ID order,
+// 0 is the first A vertex naming w = 3; its neighbour 1 names w too (x = 1),
+// and 2 is the one witness. The swap must fire on 0 and end at {0, 2}. A
+// test that ruled the witness out one count early would pass over 0, fire
+// on 2 instead and end at {1, 2}: the same size, so no size check sees it.
+func TestOneTwoWitnessBoundary(t *testing.T) {
+	g := graph.FromEdges(4, [][2]uint32{{0, 3}, {1, 3}, {2, 3}, {0, 1}})
+	f := writeFile(t, g, false)
+	for _, alg := range []struct {
+		name string
+		run  func(Source, []bool, SwapOptions) (*Result, error)
+	}{{"one-k-swap", OneKSwap}, {"two-k-swap", TwoKSwap}} {
+		r, err := alg.run(f, members(4, 3), SwapOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", alg.name, err)
+		}
+		if got := r.Vertices(); !slices.Equal(got, []uint32{0, 2}) {
+			t.Fatalf("%s: set %v, want [0 2]", alg.name, got)
+		}
 	}
 }
 

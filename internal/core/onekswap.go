@@ -141,37 +141,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 		carry = newCarryCollector(states, false)
 	}
 	setup := opts.scheduler(f, rn)
-	setup.Add(pipeline.Pass{
-		Name:           "one-k-setup",
-		Produces:       oneKProduct,
-		MutatesStates:  true,
-		NeedsScanOrder: true,
-		Batch: func(batch []gio.Record) error {
-			for i := range batch {
-				r := &batch[i]
-				u := r.ID
-				isMember := states.Get(u) == semiext.StateIS
-				var (
-					isNbrs int
-					e      uint32
-				)
-				for _, nb := range r.Neighbors {
-					if states.Get(nb) == semiext.StateIS {
-						if isMember {
-							return fmt.Errorf("%w: edge {%d,%d}", ErrNotIndependent, u, nb)
-						}
-						isNbrs++
-						e = nb
-					}
-				}
-				if !isMember && isNbrs == 1 {
-					states.Set(u, semiext.StateAdjacent)
-					isn.Set(u, e)
-				}
-			}
-			return nil
-		},
-	})
+	setup.Add(setupPass(states, isn, false))
 	if carry != nil {
 		setup.Add(carry.pass("one-k-pre-swap-carry", oneKProduct))
 	}
@@ -260,18 +230,8 @@ func oneKPreRecord(states semiext.States, isn *semiext.ISN, u uint32, neighbors 
 	switch states.Get(w) {
 	case semiext.StateIS:
 		// (ii) 1-2 swap skeleton (u, v, w): some other still-A vertex v
-		// with ISN(v) = w is not adjacent to u. With x = u's neighbors
-		// naming w, a witness exists iff |ISN⁻¹(w)| ≥ x + 2 (the count
-		// includes u itself).
-		x := uint32(0)
-		for _, nb := range neighbors {
-			if states.Get(nb) == semiext.StateAdjacent && isn.Has(nb, w) {
-				if _, _, c := isn.Get(nb); c == 1 {
-					x++
-				}
-			}
-		}
-		if isn.PreimageCount(w) >= x+2 {
+		// with ISN(v) = w is not adjacent to u.
+		if hasOneTwoWitness(states, isn, w, neighbors) {
 			states.Set(u, semiext.StateProtected)
 			isn.Clear(u)
 			states.Set(w, semiext.StateRetrograde)
@@ -357,6 +317,101 @@ func oneKRound(f Source, states semiext.States, isn *semiext.ISN, opts SwapOptio
 	return canSwap, nil
 }
 
+// maxISN is the most IS neighbors an A vertex may have: one for one-k-swap,
+// two for two-k-swap.
+func maxISN(two bool) int {
+	if two {
+		return 2
+	}
+	return 1
+}
+
+// countIS counts the neighbors in state I, returning the first two in scan
+// order as e1 and e2. It stops once the count exceeds limit and so returns
+// min(count, limit+1): a caller passes the largest count its decision still
+// tells apart from every count above it — maxISN for a non-member, and 0
+// for a set member, whose first IS neighbor is already an edge of the set.
+func countIS(states semiext.States, neighbors []uint32, limit int) (n int, e1, e2 uint32) {
+	for _, nb := range neighbors {
+		if states.Get(nb) != semiext.StateIS {
+			continue
+		}
+		switch n {
+		case 0:
+			e1 = nb
+		case 1:
+			e2 = nb
+		}
+		if n++; n > limit {
+			return n, e1, e2
+		}
+	}
+	return n, e1, e2
+}
+
+// setupPass builds the setup scan (Algorithm 2 lines 1–3; with two set,
+// Algorithm 3 lines 1–3) as a logical pass: every non-IS vertex with one IS
+// neighbor (one or two for two-k-swap) becomes A with that ISN, and the
+// input set is checked for independence along the way.
+func setupPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pass {
+	name, product := "one-k-setup", oneKProduct
+	if two {
+		name, product = "two-k-setup", twoKProduct
+	}
+	limit := maxISN(two)
+	return pipeline.Pass{
+		Name:           name,
+		Produces:       product,
+		MutatesStates:  true,
+		NeedsScanOrder: true,
+		Batch: func(batch []gio.Record) error {
+			for i := range batch {
+				r := &batch[i]
+				u := r.ID
+				if states.Get(u) == semiext.StateIS {
+					if c, e, _ := countIS(states, r.Neighbors, 0); c > 0 {
+						return fmt.Errorf("%w: edge {%d,%d}", ErrNotIndependent, u, e)
+					}
+					continue
+				}
+				switch c, e1, e2 := countIS(states, r.Neighbors, limit); {
+				case c == 1:
+					states.Set(u, semiext.StateAdjacent)
+					isn.Set(u, e1)
+				case c == 2 && two:
+					states.Set(u, semiext.StateAdjacent)
+					isn.Set(u, e1, e2)
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// hasOneTwoWitness reports whether the A vertex whose neighbors are given
+// and whose ISN is exactly {w} has a 1-2 swap witness: another A vertex v
+// with ISN(v) = {w} not adjacent to it. With x = its neighbors whose ISN is
+// exactly {w}, a witness exists iff |ISN⁻¹(w)| ≥ x + 2 (the count includes
+// the vertex itself), so the count is skipped when |ISN⁻¹(w)| < 2 and stops
+// once x + 2 exceeds it.
+func hasOneTwoWitness(states semiext.States, isn *semiext.ISN, w uint32, neighbors []uint32) bool {
+	pre := isn.PreimageCount(w)
+	if pre < 2 {
+		return false
+	}
+	x := uint32(0)
+	for _, nb := range neighbors {
+		if states.Get(nb) == semiext.StateAdjacent && isn.Has(nb, w) {
+			if _, _, c := isn.Get(nb); c == 1 {
+				if x++; x+2 > pre {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // postSwapPass builds the post-swap scan (Algorithm 2 lines 20–28; with two
 // set, Algorithm 3 lines 15–23) as a logical pass: 0↔1 swaps and
 // recomputation of A states and ISN sets for the next round.
@@ -372,6 +427,7 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 	if two {
 		name, product = "two-k-post-swap", twoKProduct
 	}
+	limit := maxISN(two)
 	return pipeline.Pass{
 		Name:           name,
 		Produces:       product,
@@ -388,29 +444,14 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 					continue
 				}
 				isn.Clear(u)
-				var (
-					isNbrs int
-					e1, e2 uint32
-				)
-				for _, nb := range r.Neighbors {
-					if states.Get(nb) == semiext.StateIS {
-						switch isNbrs {
-						case 0:
-							e1 = nb
-						case 1:
-							e2 = nb
-						}
-						isNbrs++
-					}
-				}
-				switch {
-				case isNbrs == 1:
+				switch c, e1, e2 := countIS(states, r.Neighbors, limit); {
+				case c == 1:
 					states.Set(u, semiext.StateAdjacent)
 					isn.Set(u, e1)
-				case isNbrs == 2 && two:
+				case c == 2 && two:
 					states.Set(u, semiext.StateAdjacent)
 					isn.Set(u, e1, e2)
-				case isNbrs == 0:
+				case c == 0:
 					// 0↔1 swap: u may join only if every neighbor is C or N. The
 					// strict condition (an A neighbor blocks u) is load-bearing: an
 					// A neighbor recorded its ISN earlier in this scan and could

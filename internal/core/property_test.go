@@ -1,16 +1,16 @@
 package core
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,7 +108,7 @@ func TestPropertyAllAlgorithms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mr, digests := runPropertyCase(t, gen())
 			multiround += mr
-			for _, alg := range sortedKeys(digests) {
+			for _, alg := range slices.Sorted(maps.Keys(digests)) {
 				key := name + " " + alg
 				got[key] = digests[alg]
 				if *updateGolden {
@@ -178,24 +178,19 @@ func resultDigest(r *Result) string {
 func readIdentityGolden(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	f, err := os.Open(identityGolden)
+	data, err := os.ReadFile(identityGolden)
 	if os.IsNotExist(err) && *updateGolden {
 		return out
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+	for line := range strings.Lines(string(data)) {
+		fields := strings.Fields(line)
 		if len(fields) != 3 {
-			t.Fatalf("%s: malformed line %q", identityGolden, sc.Text())
+			t.Fatalf("%s: malformed line %q", identityGolden, line)
 		}
 		out[fields[0]+" "+fields[1]] = fields[2]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	return out
 }
@@ -205,7 +200,7 @@ func readIdentityGolden(t *testing.T) map[string]string {
 func writeIdentityGolden(t *testing.T, got map[string]string) {
 	t.Helper()
 	var b strings.Builder
-	for _, key := range sortedKeys(got) {
+	for _, key := range slices.Sorted(maps.Keys(got)) {
 		fmt.Fprintf(&b, "%s %s\n", key, got[key])
 	}
 	if err := os.MkdirAll(filepath.Dir(identityGolden), 0o755); err != nil {
@@ -214,15 +209,6 @@ func writeIdentityGolden(t *testing.T, got map[string]string) {
 	if err := os.WriteFile(identityGolden, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // runPropertyCase checks every property on one graph and reports whether

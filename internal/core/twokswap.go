@@ -128,48 +128,7 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	// neighbors, fused with the read-only collection of the degree array
 	// that caps SC bucket sizes.
 	setup := opts.scheduler(f, rn)
-	setup.Add(pipeline.Pass{
-		Name:           "two-k-setup",
-		Produces:       twoKProduct,
-		MutatesStates:  true,
-		NeedsScanOrder: true,
-		Batch: func(batch []gio.Record) error {
-			for i := range batch {
-				r := &batch[i]
-				u := r.ID
-				isMember := st.states.Get(u) == semiext.StateIS
-				var (
-					isNbrs int
-					e1, e2 uint32
-				)
-				for _, nb := range r.Neighbors {
-					if st.states.Get(nb) == semiext.StateIS {
-						if isMember {
-							return fmt.Errorf("%w: edge {%d,%d}", ErrNotIndependent, u, nb)
-						}
-						switch isNbrs {
-						case 0:
-							e1 = nb
-						case 1:
-							e2 = nb
-						}
-						isNbrs++
-					}
-				}
-				if !isMember {
-					switch isNbrs {
-					case 1:
-						st.states.Set(u, semiext.StateAdjacent)
-						st.isn.Set(u, e1)
-					case 2:
-						st.states.Set(u, semiext.StateAdjacent)
-						st.isn.Set(u, e1, e2)
-					}
-				}
-			}
-			return nil
-		},
-	})
+	setup.Add(setupPass(st.states, st.isn, true))
 	setup.Add(pipeline.Pass{
 		Name:     "two-k-collect-degrees",
 		ReadOnly: true, // writes only the degree array no co-scheduled pass reads
@@ -381,15 +340,7 @@ func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32, nbrSet map[uint
 		switch st.states.Get(w1) {
 		case semiext.StateIS:
 			// 1-2 swap skeleton via the witness counter (lines 9–10).
-			x := uint32(0)
-			for _, nb := range neighbors {
-				if st.states.Get(nb) == semiext.StateAdjacent && st.isn.Has(nb, w1) {
-					if _, _, c := st.isn.Get(nb); c == 1 {
-						x++
-					}
-				}
-			}
-			if st.isn.PreimageCount(w1) >= x+2 {
+			if hasOneTwoWitness(st.states, st.isn, w1, neighbors) {
 				st.promote(u, neighbors)
 				st.states.Set(w1, semiext.StateRetrograde)
 				gi := st.newGroup(w1)

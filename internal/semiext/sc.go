@@ -68,8 +68,9 @@ func (sc *SCStore) Size() int { return sc.size }
 // lifetime.
 func (sc *SCStore) HighWater() int { return sc.highWater }
 
-// MemoryBytes returns the approximate in-memory footprint at the high-water
-// mark: 8 bytes per stored vertex pair entry plus map overhead per bucket.
+// MemoryBytes returns the footprint at the high-water mark, counted as 4
+// bytes per stored vertex (8 per pair); map and bucket overhead is not
+// counted.
 func (sc *SCStore) MemoryBytes() uint64 {
 	return uint64(sc.highWater) * 4
 }
