@@ -317,20 +317,13 @@ func oneKRound(f Source, states semiext.States, isn *semiext.ISN, opts SwapOptio
 	return canSwap, nil
 }
 
-// maxISN is the most IS neighbors an A vertex may have: one for one-k-swap,
-// two for two-k-swap.
-func maxISN(two bool) int {
-	if two {
-		return 2
-	}
-	return 1
-}
-
 // countIS counts the neighbors in state I, returning the first two in scan
 // order as e1 and e2. It stops once the count exceeds limit and so returns
 // min(count, limit+1): a caller passes the largest count its decision still
-// tells apart from every count above it — maxISN for a non-member, and 0
-// for a set member, whose first IS neighbor is already an edge of the set.
+// tells apart from every count above it — for a non-member the most IS
+// neighbors an A vertex may have (one for one-k-swap, two for two-k-swap),
+// and 0 for a set member, whose first IS neighbor is already an edge of the
+// set.
 func countIS(states semiext.States, neighbors []uint32, limit int) (n int, e1, e2 uint32) {
 	for _, nb := range neighbors {
 		if states.Get(nb) != semiext.StateIS {
@@ -354,11 +347,10 @@ func countIS(states semiext.States, neighbors []uint32, limit int) (n int, e1, e
 // neighbor (one or two for two-k-swap) becomes A with that ISN, and the
 // input set is checked for independence along the way.
 func setupPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pass {
-	name, product := "one-k-setup", oneKProduct
+	name, product, limit := "one-k-setup", oneKProduct, 1
 	if two {
-		name, product = "two-k-setup", twoKProduct
+		name, product, limit = "two-k-setup", twoKProduct, 2
 	}
-	limit := maxISN(two)
 	return pipeline.Pass{
 		Name:           name,
 		Produces:       product,
@@ -423,11 +415,10 @@ func hasOneTwoWitness(states semiext.States, isn *semiext.ISN, w uint32, neighbo
 // cascade-swap graph of Figure 5 cannot progress past its first group
 // otherwise, contradicting the paper's own worst-case analysis.
 func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pass {
-	name, product := "one-k-post-swap", oneKProduct
+	name, product, limit := "one-k-post-swap", oneKProduct, 1
 	if two {
-		name, product = "two-k-post-swap", twoKProduct
+		name, product, limit = "two-k-post-swap", twoKProduct, 2
 	}
-	limit := maxISN(two)
 	return pipeline.Pass{
 		Name:           name,
 		Produces:       product,
