@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,59 +18,97 @@ import (
 // ID as a tiebreak, as Section 4.1 of the paper prescribes. flags should
 // include FlagDegreeSorted when order is an ascending-degree order.
 func WriteGraph(path string, g *graph.Graph, order []uint32, flags uint32, stats *Counters) error {
+	if order != nil && len(order) != g.NumVertices() {
+		return fmt.Errorf("gio: order has %d entries for %d vertices", len(order), g.NumVertices())
+	}
 	w, err := NewWriter(path, flags, 0, stats)
 	if err != nil {
 		return err
 	}
-	write := func(v uint32) error {
-		ns := g.Neighbors(v)
-		sorted := make([]uint32, len(ns))
-		copy(sorted, ns)
-		sort.Slice(sorted, func(i, j int) bool {
-			di, dj := g.Degree(sorted[i]), g.Degree(sorted[j])
-			if di != dj {
-				return di < dj
-			}
-			return sorted[i] < sorted[j]
-		})
-		return w.Append(v, sorted)
-	}
-	if order == nil {
-		for v := 0; v < g.NumVertices(); v++ {
-			if err := write(uint32(v)); err != nil {
-				w.Close()
-				return err
-			}
+	rank := DegreeRanks(degrees(g))
+	var (
+		sorted []uint32
+		keys   []uint64
+	)
+	for i := range g.NumVertices() {
+		v := uint32(i)
+		if order != nil {
+			v = order[i]
 		}
-	} else {
-		if len(order) != g.NumVertices() {
+		sorted = append(sorted[:0], g.Neighbors(v)...)
+		keys = SortByRank(sorted, rank, keys)
+		if err := w.Append(v, sorted); err != nil {
 			w.Close()
-			return fmt.Errorf("gio: order has %d entries for %d vertices", len(order), g.NumVertices())
-		}
-		for _, v := range order {
-			if err := write(v); err != nil {
-				w.Close()
-				return err
-			}
+			return err
 		}
 	}
 	return w.Close()
 }
 
+func degrees(g *graph.Graph) []uint32 {
+	deg := make([]uint32, g.NumVertices())
+	for v := range deg {
+		deg[v] = uint32(g.Degree(uint32(v)))
+	}
+	return deg
+}
+
+// DegreeRanks turns deg, the degree of every vertex indexed by ID, in place
+// into each vertex's position in ascending (degree, ID) order — the scan
+// order the Greedy algorithm requires — and returns it. It is one counting
+// sort: O(|V| + maximum degree) time, with one count per degree beside deg.
+// DegreeRanks is the single definition of that order: DegreeOrder,
+// WriteGraph's neighbor order and the external sort (internal/extsort) all
+// derive from it.
+func DegreeRanks(deg []uint32) []uint32 {
+	var maxDeg uint32
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	// next[d] counts the vertices of degree d, then holds the next unused
+	// rank among them; visiting vertices in ID order breaks degree ties by ID.
+	next := make([]uint32, int(maxDeg)+1)
+	for _, d := range deg {
+		next[d]++
+	}
+	var sum uint32
+	for d, c := range next {
+		next[d] = sum
+		sum += c
+	}
+	for v, d := range deg {
+		deg[v] = next[d]
+		next[d]++
+	}
+	return deg
+}
+
+// SortByRank orders the vertex IDs in ns by ascending rank[v], where rank
+// comes from DegreeRanks, so ns ends in (degree, ID) order. keys is scratch
+// space, returned for reuse. Every value in ns must index rank.
+func SortByRank(ns, rank []uint32, keys []uint64) []uint64 {
+	if len(ns) < 2 {
+		return keys
+	}
+	keys = keys[:0]
+	for _, v := range ns {
+		keys = append(keys, uint64(rank[v])<<32|uint64(v))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		ns[i] = uint32(k)
+	}
+	return keys
+}
+
 // DegreeOrder returns g's vertex IDs sorted by ascending degree (ID
 // tiebreak) — the scan order required by the Greedy algorithm.
 func DegreeOrder(g *graph.Graph) []uint32 {
-	order := make([]uint32, g.NumVertices())
-	for i := range order {
-		order[i] = uint32(i)
+	rank := DegreeRanks(degrees(g))
+	order := make([]uint32, len(rank))
+	for v, r := range rank {
+		order[r] = uint32(v)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
 	return order
 }
 
