@@ -1,13 +1,21 @@
 package extsort
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gio"
 	"repro/internal/graph"
+	"repro/internal/plrg"
 )
 
 func randomGraph(seed int64, n, m int) *graph.Graph {
@@ -183,5 +191,260 @@ func TestSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeShuffled writes g with its records and each neighbor list in a
+// random order, so the sort has both to put in order.
+func writeShuffled(t testing.TB, path string, g *graph.Graph, flags uint32, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	w, err := gio.NewWriter(path, flags, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rng.Perm(g.NumVertices()) {
+		ns := append([]uint32(nil), g.Neighbors(uint32(v))...)
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		if err := w.Append(uint32(v), ns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sortedReference returns the bytes gio.WriteGraphSorted produces for g:
+// the in-memory writer is the oracle for the external sort's output.
+func sortedReference(t testing.TB, g *graph.Graph) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ref.adj")
+	if err := gio.WriteGraphSorted(path, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func requireSameBytes(t testing.TB, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from gio.WriteGraphSorted (%d vs %d bytes)", path, len(got), len(want))
+	}
+}
+
+// TestSortMatchesInMemoryWriter holds the external sort to the in-memory
+// writer byte for byte, record order and neighbor order included, for raw
+// and compressed input, in memory, spilling, and with several merge levels.
+func TestSortMatchesInMemoryWriter(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"plrg", plrg.PowerLawN(3000, 2.0, 7)},
+		{"er", plrg.ErdosRenyi(2000, 6000, 3)},
+	}
+	inputs := []struct {
+		name  string
+		flags uint32
+	}{
+		{"raw", 0},
+		{"compressed", gio.FlagCompressed},
+	}
+	for _, gc := range graphs {
+		want := sortedReference(t, gc.g)
+		// The whole graph needs about 12 bytes per vertex and 8 per edge
+		// in the buffer; a quarter of that forces at least four runs.
+		spill := (12*gc.g.NumVertices() + 8*gc.g.NumEdges()) / 4
+		budgets := []struct {
+			name string
+			opts Options
+		}{
+			{"default", Options{}},
+			{"spill", Options{MemoryBudget: spill}},
+			{"multilevel", Options{MemoryBudget: 512, MaxFanIn: 3}},
+		}
+		for _, in := range inputs {
+			for _, b := range budgets {
+				t.Run(gc.name+"/"+in.name+"/"+b.name, func(t *testing.T) {
+					dir := t.TempDir()
+					src := filepath.Join(dir, "in.adj")
+					dst := filepath.Join(dir, "out.adj")
+					writeShuffled(t, src, gc.g, in.flags, 11)
+					if err := SortByDegree(src, dst, b.opts); err != nil {
+						t.Fatal(err)
+					}
+					requireSameBytes(t, dst, want)
+					requireOnly(t, dir, "in.adj", "out.adj")
+				})
+			}
+		}
+	}
+}
+
+// requireOnly fails unless dir holds exactly the named entries.
+func requireOnly(t testing.TB, dir string, names ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	slices.Sort(names)
+	if !slices.Equal(got, names) {
+		t.Fatalf("%s holds %v, want %v", dir, got, names)
+	}
+}
+
+// TestSortThatFitsReadsOnce pins the I/O of a sort whose records fit the
+// budget: one physical scan of the input, one write of the output, and no
+// file besides the output.
+func TestSortThatFitsReadsOnce(t *testing.T) {
+	g := plrg.PowerLawN(5000, 2.0, 5)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "in.adj")
+	dst := filepath.Join(dir, "out.adj")
+	writeShuffled(t, src, g, 0, 1)
+	var stats gio.Counters
+	// A run file would need the missing temp directory, so success shows
+	// the sort made none.
+	opts := Options{Stats: &stats, TempDir: filepath.Join(dir, "missing")}
+	if err := SortByDegree(src, dst, opts); err != nil {
+		t.Fatal(err)
+	}
+	s := stats.Snapshot()
+	if s.Scans != 1 || s.PhysicalScans != 1 {
+		t.Fatalf("scans=%d physical=%d, want 1 and 1", s.Scans, s.PhysicalScans)
+	}
+	info, err := os.Stat(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer writes each byte once, and the header a second time when
+	// it fills in the final counts.
+	if want := uint64(info.Size()) + gio.HeaderSize; s.BytesWritten != want {
+		t.Fatalf("wrote %d bytes, want %d for a %d-byte output", s.BytesWritten, want, info.Size())
+	}
+	requireOnly(t, dir, "in.adj", "out.adj")
+}
+
+// TestConcurrentSpillingSorts runs two spilling sorts into one directory at
+// once: each must keep its runs to itself and clean them up.
+func TestConcurrentSpillingSorts(t *testing.T) {
+	graphs := []*graph.Graph{plrg.PowerLawN(1500, 2.0, 1), plrg.ErdosRenyi(1200, 3000, 2)}
+	want := make([][]byte, len(graphs))
+	dir := t.TempDir()
+	names := []string{}
+	for i, g := range graphs {
+		want[i] = sortedReference(t, g)
+		writeShuffled(t, filepath.Join(dir, fmt.Sprintf("in%d.adj", i)), g, 0, int64(i))
+		names = append(names, fmt.Sprintf("in%d.adj", i), fmt.Sprintf("out%d.adj", i))
+	}
+	for trial := 0; trial < 10; trial++ {
+		errs := make([]error, len(graphs))
+		var wg sync.WaitGroup
+		for i := range graphs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src := filepath.Join(dir, fmt.Sprintf("in%d.adj", i))
+				dst := filepath.Join(dir, fmt.Sprintf("out%d.adj", i))
+				errs[i] = SortByDegree(src, dst, Options{MemoryBudget: 4096})
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("trial %d, sort %d: %v", trial, i, err)
+			}
+			requireSameBytes(t, filepath.Join(dir, fmt.Sprintf("out%d.adj", i)), want[i])
+		}
+		requireOnly(t, dir, names...)
+	}
+}
+
+// TestSortRejectsMalformedInput feeds hand-built files that a scan accepts
+// but that are no graph: each must fail with gio.ErrBadFormat naming the
+// vertex, in memory and when spilling, and leave no output behind.
+func TestSortRejectsMalformedInput(t *testing.T) {
+	type rec struct {
+		id uint32
+		ns []uint32
+	}
+	cases := []struct {
+		name string
+		recs []rec
+		want string
+	}{
+		{"neighbor out of range", []rec{{0, []uint32{1}}, {1, []uint32{0, 7}}, {2, nil}}, "vertex 1 has out-of-range neighbor 7"},
+		{"duplicate vertex", []rec{{0, []uint32{1}}, {1, []uint32{0}}, {1, []uint32{0}}}, "vertex 1 appears twice"},
+		{"missing vertex", []rec{{0, []uint32{1}}, {1, []uint32{0}}}, "vertex 2 is missing"},
+	}
+	for _, c := range cases {
+		for _, budget := range []int{0, 16} {
+			t.Run(fmt.Sprintf("%s/budget=%d", c.name, budget), func(t *testing.T) {
+				dir := t.TempDir()
+				src := filepath.Join(dir, "in.adj")
+				w, err := gio.NewWriter(src, 0, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.SetVertexCount(3)
+				for _, r := range c.recs {
+					if err := w.Append(r.id, r.ns); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				err = SortByDegree(src, filepath.Join(dir, "out.adj"), Options{MemoryBudget: budget})
+				if !errors.Is(err, gio.ErrBadFormat) || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("got %v, want gio.ErrBadFormat with %q", err, c.want)
+				}
+				requireOnly(t, dir, "in.adj")
+			})
+		}
+	}
+}
+
+// BenchmarkSortByDegree sorts unsorted PLRGs (β = 2.0, written in ID order)
+// in memory and at two spilling budgets.
+func BenchmarkSortByDegree(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		n      int
+		budget int
+	}{
+		{"150k", 150000, 0},
+		{"600k", 600000, 0},
+		{"600k-spill-4MiB", 600000, 4 << 20},
+		{"600k-spill-256KiB", 600000, 256 << 10},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			src := filepath.Join(dir, "in.adj")
+			if err := gio.WriteGraph(src, plrg.PowerLawN(bc.n, 2.0, 1), nil, 0, nil); err != nil {
+				b.Fatal(err)
+			}
+			dst := filepath.Join(dir, "out.adj")
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := SortByDegree(src, dst, Options{MemoryBudget: bc.budget}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -52,12 +52,16 @@ func (w *runWriter) close() error {
 type runReader struct {
 	f    *os.File
 	br   *bufio.Reader
-	ns   []uint32
 	buf  []byte
 	path string
+	n    uint32 // vertex count: every record ID and degree is below it
+
+	// id and ns are the current record; ns is reused by the next call.
+	id uint32
+	ns []uint32
 }
 
-func newRunReader(path string, blockSize int) (*runReader, error) {
+func newRunReader(path string, blockSize int, n uint32) (*runReader, error) {
 	if blockSize <= 0 {
 		blockSize = 256 * 1024
 	}
@@ -65,20 +69,24 @@ func newRunReader(path string, blockSize int) (*runReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run %s: %w", path, err)
 	}
-	return &runReader{f: f, br: bufio.NewReaderSize(f, blockSize), path: path, buf: make([]byte, 8)}, nil
+	return &runReader{f: f, br: bufio.NewReaderSize(f, blockSize), path: path, n: n, buf: make([]byte, 8)}, nil
 }
 
-// next returns the next record, or done=true at end of run. The returned
-// neighbor slice is reused by subsequent calls.
-func (r *runReader) next() (id uint32, neighbors []uint32, done bool, err error) {
+// next reads the next record into id and ns, reporting false at the end of
+// the run.
+func (r *runReader) next() (bool, error) {
 	if _, err := io.ReadFull(r.br, r.buf[:8]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return 0, nil, true, nil
+			return false, nil
 		}
-		return 0, nil, false, fmt.Errorf("extsort: run %s: %w", r.path, err)
+		return false, fmt.Errorf("extsort: run %s: %w", r.path, err)
 	}
-	id = binary.LittleEndian.Uint32(r.buf[0:])
-	deg := int(binary.LittleEndian.Uint32(r.buf[4:]))
+	r.id = binary.LittleEndian.Uint32(r.buf[0:])
+	d := binary.LittleEndian.Uint32(r.buf[4:])
+	if r.id >= r.n || d >= r.n {
+		return false, fmt.Errorf("extsort: run %s: corrupt record (vertex %d, degree %d)", r.path, r.id, d)
+	}
+	deg := int(d)
 	if cap(r.ns) < deg {
 		r.ns = make([]uint32, deg, deg*2)
 	}
@@ -87,10 +95,10 @@ func (r *runReader) next() (id uint32, neighbors []uint32, done bool, err error)
 		r.buf = make([]byte, 4*deg)
 	}
 	if _, err := io.ReadFull(r.br, r.buf[:4*deg]); err != nil {
-		return 0, nil, false, fmt.Errorf("extsort: run %s truncated: %w", r.path, err)
+		return false, fmt.Errorf("extsort: run %s truncated: %w", r.path, err)
 	}
 	gio.DecodeUint32s(r.ns, r.buf)
-	return id, r.ns, false, nil
+	return true, nil
 }
 
 func (r *runReader) close() error { return r.f.Close() }
