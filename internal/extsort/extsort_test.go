@@ -448,3 +448,18 @@ func BenchmarkSortByDegree(b *testing.B) {
 		})
 	}
 }
+
+// TestOutputChecksRankOrder feeds the output writer directly: a record out
+// of rank order, or too few records, must fail the sort whatever fed them.
+func TestOutputChecksRankOrder(t *testing.T) {
+	s := &sorter{rank: []uint32{1, 0, 2}} // vertex 1 goes first
+	dst := filepath.Join(t.TempDir(), "out.adj")
+	err := s.write(dst, func(out *output) error { return out.append(0, nil) })
+	if err == nil || !strings.Contains(err.Error(), "output record 0 is vertex 0, of rank 1") {
+		t.Fatalf("out-of-order record: got %v", err)
+	}
+	err = s.write(dst, func(out *output) error { return out.append(1, nil) })
+	if err == nil || !strings.Contains(err.Error(), "wrote 1 of 3 records") {
+		t.Fatalf("short output: got %v", err)
+	}
+}

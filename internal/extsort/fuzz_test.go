@@ -20,6 +20,7 @@ func FuzzSortByDegree(f *testing.F) {
 	f.Add(int64(4), uint8(10), uint8(15), uint16(0), uint8(0), uint8(2))
 	f.Add(int64(5), uint8(10), uint8(15), uint16(100), uint8(1), uint8(3))
 	f.Add(int64(6), uint8(0), uint8(0), uint16(16), uint8(0), uint8(6))
+	f.Add(int64(7), uint8(30), uint8(60), uint16(64), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, budget uint16, fanIn, mode uint8) {
 		defect := mode % 4 // 0 none, 1 duplicate ID, 2 missing ID, 3 neighbor ≥ n
 		n := int(nRaw%64) + 1
