@@ -38,7 +38,9 @@ import (
 //   - every algorithm's result is bit-identical to the one recorded in
 //     testdata/result_identity.golden (see resultDigest), so a change that
 //     claims to leave results untouched is checked against the recorded
-//     outputs, not only against itself.
+//     outputs, not only against itself. RandomizedMaximal is recorded by
+//     randomizedDigest, which pins its set and logical schedule but leaves
+//     its memory and physical/carried split free to move.
 
 var updateGolden = flag.Bool("update", false, "rewrite "+identityGolden+" from this run")
 
@@ -89,7 +91,7 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestPropertyAllAlgorithms is the seed sweep over all six algorithms, plus
+// TestPropertyAllAlgorithms is the seed sweep over all seven algorithms, plus
 // two larger power-law graphs whose hubs and multi-round swaps reach code
 // paths the 150-vertex sweep rarely does.
 func TestPropertyAllAlgorithms(t *testing.T) {
@@ -174,6 +176,24 @@ func resultDigest(r *Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// propertyRandomizedSeed is the seed every property case runs
+// RandomizedMaximal with.
+const propertyRandomizedSeed = 7
+
+// randomizedDigest is resultDigest restricted to what RandomizedMaximal's
+// exactness rests on: the set, its size, the round count and the logical
+// scan count. Its memory footprint and the split of logical scans into
+// physical and carried ones depend on whether the undecided residual fits
+// in memory, and are checked by the scan-count goldens instead.
+func randomizedDigest(r *Result) string {
+	return resultDigest(&Result{
+		InSet:  r.InSet,
+		Size:   r.Size,
+		Rounds: r.Rounds,
+		IO:     gio.Stats{Scans: r.IO.Scans},
+	})
+}
+
 // readIdentityGolden loads identityGolden as "<case> <alg>" → digest.
 func readIdentityGolden(t *testing.T) map[string]string {
 	t.Helper()
@@ -240,6 +260,15 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[
 		t.Fatalf("external-maximal: %v", err)
 	}
 	digests["external-maximal"] = resultDigest(ext)
+
+	rnd, err := RandomizedMaximal(f, propertyRandomizedSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyBoth(f, rnd.InSet); err != nil {
+		t.Fatalf("randomized: %v", err)
+	}
+	digests["randomized"] = randomizedDigest(rnd)
 
 	// DynamicUpdate is the in-memory competitor; verify against the graph.
 	dyn := DynamicUpdate(g)
@@ -318,6 +347,11 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[
 			t.Fatalf("external-maximal workers=%d: %v", workers, err)
 		}
 		requireSameResult(t, fmt.Sprintf("external-maximal workers=%d", workers), ext, pe)
+		pr, err := RandomizedMaximal(exec.New(f, workers), propertyRandomizedSeed)
+		if err != nil {
+			t.Fatalf("randomized workers=%d: %v", workers, err)
+		}
+		requireSameResult(t, fmt.Sprintf("randomized workers=%d", workers), rnd, pr)
 	}
 	return multiround, digests
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/gio"
 	"repro/internal/pipeline"
@@ -13,11 +12,12 @@ import (
 // RandomizedMaximal computes a maximal independent set with the randomized
 // rounds of Abello, Buchsbaum and Westbrook's functional approach (related
 // work [2], I/O O(sort(|E|)) with high probability), adapted to the
-// semi-external setting: each round draws random priorities for the still
-// undecided vertices, one scan admits every vertex that beats all undecided
+// semi-external setting: each round orders the still undecided vertices by
+// a random priority, one scan admits every vertex that beats all undecided
 // neighbors, and a second scan retires the admitted vertices' neighbors.
 // With constant probability a constant fraction of vertices is decided per
-// round, so O(log |V|) scans decide everything.
+// round, so O(log |V|) scans decide everything. A vertex's priority is a
+// hash of (seed, round, vertex ID), so no per-vertex array holds it.
 func RandomizedMaximal(f Source, seed int64) (*Result, error) {
 	return RandomizedMaximalCtx(context.Background(), f, seed, Hooks{})
 }
@@ -29,10 +29,8 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 	n := f.NumVertices()
 	rn := newRun(ctx, h)
 	snap := snapshot(f.Stats())
-	rng := rand.New(rand.NewSource(seed))
 
 	states := semiext.NewStates(n) // Initial = undecided
-	prio := make([]uint64, n)
 	undecided := n
 	rounds := 0
 
@@ -44,11 +42,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		if err := rn.err(); err != nil {
 			return nil, fmt.Errorf("core: randomized maximal: round %d: %w", rounds, err)
 		}
-		for v := 0; v < n; v++ {
-			if states.Get(uint32(v)) == semiext.StateInitial {
-				prio[v] = rng.Uint64()
-			}
-		}
+		key := roundKey(seed, rounds)
 		// Scan 1: local minima of the priority order join the set. Both
 		// scans mutate the shared state array mid-scan, so each runs as its
 		// own scheduler pass (and therefore its own physical scan).
@@ -64,9 +58,10 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 					if states.Get(u) != semiext.StateInitial {
 						continue
 					}
+					pu := priority(key, u)
 					beaten := false
 					for _, nb := range r.Neighbors {
-						if states.Get(nb) == semiext.StateInitial && beats(prio[nb], nb, prio[u], u) {
+						if states.Get(nb) == semiext.StateInitial && beats(priority(key, nb), nb, pu, u) {
 							beaten = true
 							break
 						}
@@ -119,9 +114,30 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 	res := newResult(n)
 	res.collectIS(states)
 	res.Rounds = rounds
-	res.MemoryBytes = states.MemoryBytes() + uint64(n)*8
+	res.MemoryBytes = states.MemoryBytes()
 	res.IO = statsDelta(f.Stats(), snap)
 	return res, nil
+}
+
+// roundKey derives one round's priority key from the run's seed: distinct
+// rounds of one seed, and distinct seeds, get unrelated vertex orders.
+func roundKey(seed int64, round int) uint64 {
+	return mix64(uint64(seed) + uint64(round)*0x9e3779b97f4a7c15)
+}
+
+// priority returns vertex v's priority under a round key: the splitmix64
+// finalizer over key ^ v. The finalizer is a bijection, so distinct
+// vertices never tie within a round, and the value is a pure function of
+// (seed, round, v) — the same whatever order the scan delivers records in.
+func priority(key uint64, v uint32) uint64 {
+	return mix64(key ^ uint64(v))
+}
+
+// mix64 is the splitmix64 output finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // beats reports whether vertex a (priority pa) precedes vertex b (priority

@@ -53,18 +53,31 @@ func scrubResult(r *mis.Result) *mis.Result {
 // TestShardedParityAllAlgorithms is the tentpole acceptance test: every
 // algorithm run through a ≥3-shard manifest returns results byte-identical
 // to the merged single file, with equal scan counts (the fused-pass physical
-// scan counts included), at every worker count.
+// scan counts included), at every worker count. RandomizedMaximal, which
+// takes a seed and so is not a registry Algorithm, rides along.
 func TestShardedParityAllAlgorithms(t *testing.T) {
 	single, shardDir := buildShardedGraph(t, 600, 3, true)
+
+	type solve func(*mis.Solver) (*mis.Result, error)
+	algs := map[string]solve{
+		"randomized": func(s *mis.Solver) (*mis.Result, error) {
+			return s.RandomizedMaximal(context.Background(), 7)
+		},
+	}
+	for _, alg := range mis.Algorithms() {
+		algs[string(alg)] = func(s *mis.Solver) (*mis.Result, error) {
+			return s.Solve(context.Background(), alg)
+		}
+	}
 
 	ref, err := mis.Open(single)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want := map[mis.Algorithm]*mis.Result{}
-	for _, alg := range mis.Algorithms() {
-		r, err := mis.NewSolver(ref, mis.BaselineOnSorted()).Solve(context.Background(), alg)
+	want := map[string]*mis.Result{}
+	for alg, run := range algs {
+		r, err := run(mis.NewSolver(ref, mis.BaselineOnSorted()))
 		if err != nil {
 			t.Fatalf("%s on single file: %v", alg, err)
 		}
@@ -81,8 +94,8 @@ func TestShardedParityAllAlgorithms(t *testing.T) {
 			if !f.Sharded() || f.NumShards() != 3 {
 				t.Fatalf("Sharded=%v NumShards=%d, want true/3", f.Sharded(), f.NumShards())
 			}
-			for _, alg := range mis.Algorithms() {
-				got, err := mis.NewSolver(f, mis.BaselineOnSorted()).Solve(context.Background(), alg)
+			for alg, run := range algs {
+				got, err := run(mis.NewSolver(f, mis.BaselineOnSorted()))
 				if err != nil {
 					t.Fatalf("%s sharded: %v", alg, err)
 				}
