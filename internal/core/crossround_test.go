@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/gio"
+	"repro/internal/graph"
+	"repro/internal/plrg"
 	"repro/internal/semiext"
 )
 
@@ -114,5 +117,52 @@ func TestCarryOverflowFallbackParity(t *testing.T) {
 			t.Fatalf("%s: fallback physical scans %d not above carried %d (overflow never engaged?)",
 				alg, overflowed.IO.PhysicalScans, normal.IO.PhysicalScans)
 		}
+	}
+}
+
+// TestRandomizedCarryOverflow forces RandomizedMaximal's residual buffer to
+// overflow on every collection, so every round pays both physical scans,
+// and requires each property case's result to match the randomized digest
+// recorded in the result-identity golden: the in-memory replay and the
+// dedicated scans are the same rounds.
+func TestRandomizedCarryOverflow(t *testing.T) {
+	golden := readIdentityGolden(t)
+	cases := map[string]*graph.Graph{}
+	for seed := int64(1); seed <= 10; seed++ {
+		for model, g := range propertyGraphs(seed) {
+			cases[fmt.Sprintf("%s-seed%d", model, seed)] = g
+		}
+	}
+	for _, beta := range []float64{1.8, 2.2} {
+		cases[fmt.Sprintf("plrg20k-beta%.1f", beta)] = plrg.PowerLawN(20000, beta, 1)
+	}
+
+	old := carryBudget
+	defer func() { carryBudget = old }()
+	carriedNormally := 0
+	for name, g := range cases {
+		f := writeSorted(t, g)
+		carryBudget = old
+		normal, err := RandomizedMaximal(f, propertyRandomizedSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carriedNormally += normal.IO.CarriedScans
+		carryBudget = func(int) int { return -1 } // no record fits
+		r, err := RandomizedMaximal(f, propertyRandomizedSeed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.IO.PhysicalScans != r.IO.Scans || r.IO.CarriedScans != 0 {
+			t.Errorf("%s: overflowing run carried: %d logical / %d physical / %d carried",
+				name, r.IO.Scans, r.IO.PhysicalScans, r.IO.CarriedScans)
+		}
+		key := name + " randomized"
+		if want, got := golden[key], randomizedDigest(r); got != want {
+			t.Errorf("%s: overflowing run's digest %s, golden %s", key, got, want)
+		}
+	}
+	if carriedNormally == 0 {
+		t.Fatal("no case carried a round without the forced overflow (the test no longer exercises the replay)")
 	}
 }

@@ -13,11 +13,20 @@ import (
 // rounds of Abello, Buchsbaum and Westbrook's functional approach (related
 // work [2], I/O O(sort(|E|)) with high probability), adapted to the
 // semi-external setting: each round orders the still undecided vertices by
-// a random priority, one scan admits every vertex that beats all undecided
-// neighbors, and a second scan retires the admitted vertices' neighbors.
-// With constant probability a constant fraction of vertices is decided per
-// round, so O(log |V|) scans decide everything. A vertex's priority is a
-// hash of (seed, round, vertex ID), so no per-vertex array holds it.
+// a random priority, an elect pass admits every vertex that beats all
+// undecided neighbors, and a retire pass retires the admitted vertices'
+// neighbors. With constant probability a constant fraction of vertices is
+// decided per round, so O(log |V|) rounds decide everything. A vertex's
+// priority is a hash of (seed, round, vertex ID), so no per-vertex array
+// holds it.
+//
+// Round 1 runs both passes as physical scans, and its retire scan collects
+// the residual — the vertices still undecided after it, with their
+// undecided neighbors — into a buffer bounded like the swap algorithms'
+// cross-round carry. Later rounds replay both passes over that buffer, so
+// a run costs two physical scans whenever the residual fits, and two per
+// round until one does: a round whose collection overflowed is followed by
+// another round of two physical scans that collects again.
 func RandomizedMaximal(f Source, seed int64) (*Result, error) {
 	return RandomizedMaximalCtx(context.Background(), f, seed, Hooks{})
 }
@@ -30,11 +39,15 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 	rn := newRun(ctx, h)
 	snap := snapshot(f.Stats())
 
-	states := semiext.NewStates(n) // Initial = undecided
-	undecided := n
+	r := &randomizedRounds{
+		states:    semiext.NewStates(n), // Initial = undecided
+		residual:  semiext.NewRecordBuffer(carryBudget(n), false),
+		undecided: n,
+	}
+	carried := false // r.residual holds the complete residual
 	rounds := 0
 
-	for undecided > 0 {
+	for r.undecided > 0 {
 		rounds++
 		if rounds > 64*(bitsLen(n)+1) {
 			return nil, fmt.Errorf("core: randomized maximal: no progress after %d rounds", rounds)
@@ -42,10 +55,19 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		if err := rn.err(); err != nil {
 			return nil, fmt.Errorf("core: randomized maximal: round %d: %w", rounds, err)
 		}
-		key := roundKey(seed, rounds)
-		// Scan 1: local minima of the priority order join the set. Both
-		// scans mutate the shared state array mid-scan, so each runs as its
-		// own scheduler pass (and therefore its own physical scan).
+		r.key = roundKey(seed, rounds)
+		if carried {
+			// Every undecided vertex and every undecided neighbor of one is
+			// in the buffer; the passes read no decided state, so replaying
+			// them over the buffer is the two scans, record for record.
+			pipeline.ResolveCarried(f)
+			r.residual.ForEach(r.elect)
+			pipeline.ResolveCarried(f)
+			r.residual.ForEach(r.retire)
+			continue
+		}
+		// Both passes mutate the shared state array mid-scan, so each runs
+		// as its own scheduler pass (and therefore its own physical scan).
 		s1 := pipeline.New(f, rn.sopts(false))
 		s1.Add(pipeline.Pass{
 			Name:           "randomized-elect",
@@ -53,27 +75,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 			NeedsScanOrder: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
-					r := &batch[i]
-					u := r.ID
-					if states.Get(u) != semiext.StateInitial {
-						continue
-					}
-					pu := priority(key, u)
-					beaten := false
-					for _, nb := range r.Neighbors {
-						if states.Get(nb) == semiext.StateInitial && beats(priority(key, nb), nb, pu, u) {
-							beaten = true
-							break
-						}
-						if states.Get(nb) == semiext.StateProtected {
-							// A neighbor already won this round.
-							beaten = true
-							break
-						}
-					}
-					if !beaten {
-						states.Set(u, semiext.StateProtected)
-					}
+					r.elect(batch[i].ID, batch[i].Neighbors)
 				}
 				return nil
 			},
@@ -81,7 +83,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		if err := s1.Run(); err != nil {
 			return nil, fmt.Errorf("core: randomized maximal: %w", err)
 		}
-		// Scan 2: winners become IS; their undecided neighbors retire.
+		r.residual.Reset()
 		s2 := pipeline.New(f, rn.sopts(false))
 		s2.Add(pipeline.Pass{
 			Name:           "randomized-retire",
@@ -89,19 +91,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 			NeedsScanOrder: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
-					r := &batch[i]
-					u := r.ID
-					if states.Get(u) != semiext.StateProtected {
-						continue
-					}
-					states.Set(u, semiext.StateIS)
-					undecided--
-					for _, nb := range r.Neighbors {
-						if states.Get(nb) == semiext.StateInitial {
-							states.Set(nb, semiext.StateNonIS)
-							undecided--
-						}
-					}
+					r.retireOrCollect(batch[i].ID, batch[i].Neighbors)
 				}
 				return nil
 			},
@@ -109,14 +99,87 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		if err := s2.Run(); err != nil {
 			return nil, fmt.Errorf("core: randomized maximal: %w", err)
 		}
+		carried = !r.residual.Overflowed()
 	}
 
 	res := newResult(n)
-	res.collectIS(states)
+	res.collectIS(r.states)
 	res.Rounds = rounds
-	res.MemoryBytes = states.MemoryBytes()
+	res.MemoryBytes = r.states.MemoryBytes() + r.residual.MemoryPeak()
 	res.IO = statsDelta(f.Stats(), snap)
 	return res, nil
+}
+
+// randomizedRounds is one RandomizedMaximal run's in-memory state: the
+// vertex states, the current round's priority key and the residual buffer.
+type randomizedRounds struct {
+	states    semiext.States
+	key       uint64
+	residual  *semiext.RecordBuffer
+	keep      []uint32 // collect's scratch neighbor list
+	undecided int
+}
+
+// elect admits undecided u (marks it Protected) if it beats every undecided
+// neighbor under the round's priorities.
+func (r *randomizedRounds) elect(u uint32, neighbors []uint32) {
+	if r.states.Get(u) != semiext.StateInitial {
+		return
+	}
+	pu := priority(r.key, u)
+	for _, nb := range neighbors {
+		switch r.states.Get(nb) {
+		case semiext.StateInitial:
+			if beats(priority(r.key, nb), nb, pu, u) {
+				return
+			}
+		case semiext.StateProtected:
+			return // a neighbor already won this round
+		}
+	}
+	r.states.Set(u, semiext.StateProtected)
+}
+
+// retire moves an admitted u into the set and retires its undecided
+// neighbors.
+func (r *randomizedRounds) retire(u uint32, neighbors []uint32) {
+	if r.states.Get(u) != semiext.StateProtected {
+		return
+	}
+	r.states.Set(u, semiext.StateIS)
+	r.undecided--
+	for _, nb := range neighbors {
+		if r.states.Get(nb) == semiext.StateInitial {
+			r.states.Set(nb, semiext.StateNonIS)
+			r.undecided--
+		}
+	}
+}
+
+// retireOrCollect is the retire scan's per-record step: retire, then
+// collect the record into the residual if its vertex stays undecided for
+// the rest of the scan. An undecided u with no admitted neighbor does: an
+// IS neighbor would already have retired it, and only an admitted neighbor
+// later in the scan could. Its neighbors that are not undecided now are
+// decided for good and dropped, since neither pass reads a decided state.
+func (r *randomizedRounds) retireOrCollect(u uint32, neighbors []uint32) {
+	if r.states.Get(u) != semiext.StateInitial {
+		r.retire(u, neighbors)
+		return
+	}
+	if r.residual.Overflowed() {
+		return
+	}
+	r.keep = r.keep[:0]
+	for _, nb := range neighbors {
+		switch r.states.Get(nb) {
+		case semiext.StateInitial:
+			r.keep = append(r.keep, nb)
+		case semiext.StateProtected:
+			return // u retires when the scan reaches nb
+		}
+	}
+	r.residual.Append(u, 0, r.keep)
 }
 
 // roundKey derives one round's priority key from the run's seed: distinct

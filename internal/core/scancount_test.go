@@ -122,7 +122,8 @@ func scanDelta(now, before gio.Stats) gio.Stats {
 // physical scan (the round's own post-swap pass; its pre-swap — and, for
 // two-k-swap, swap-validation — work rode the previous scan as a carried
 // collection), so a whole run costs Rounds+1 physical scans. The per-round
-// I/O trace pins the same fact round by round.
+// I/O trace pins the same fact round by round. A randomized maximal run
+// costs two physical scans however many rounds it takes.
 func TestScanCountGoldenMultiround(t *testing.T) {
 	f, _ := openFixture(t, multiroundFixture)
 
@@ -157,6 +158,22 @@ func TestScanCountGoldenMultiround(t *testing.T) {
 	checkIO(t, "two-k-swap", two.IO, 12, 4)
 	if two.IO.CarriedScans != 6 {
 		t.Fatalf("two-k-swap carried scans = %d, want 6", two.IO.CarriedScans)
+	}
+
+	// Randomized maximal: round 1's elect and retire scans are physical,
+	// and the retire scan collects the undecided residual; every later
+	// round replays both passes from it. At seed 5 the fixture takes three
+	// rounds: 6 logical, 2 physical, 4 carried.
+	rnd, err := RandomizedMaximal(f, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rnd.Rounds != 3 {
+		t.Fatalf("randomized rounds = %d, want 3 (fixture drifted; regenerate goldens)", rnd.Rounds)
+	}
+	checkIO(t, "randomized", rnd.IO, 2*rnd.Rounds, 2)
+	if rnd.IO.CarriedScans != 2*(rnd.Rounds-1) {
+		t.Fatalf("randomized carried scans = %d, want %d", rnd.IO.CarriedScans, 2*(rnd.Rounds-1))
 	}
 
 	for _, tc := range []struct {
