@@ -88,6 +88,39 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsOutOfRangeNeighbor: on a raw file whose vertex 1 lists
+// neighbor 7 of 3 vertices, every algorithm exits 1 with the decoder's
+// format error instead of panicking or reporting a verified set.
+func TestSolveRejectsOutOfRangeNeighbor(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.adj")
+	w, err := gio.NewWriter(path, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, nbrs := range [][]uint32{{1}, {0, 7}, {}} {
+		if err := w.Append(uint32(v), nbrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{
+		"greedy", "baseline", "one-k-swap", "two-k-swap",
+		"dynamic-update", "external-maximal", "randomized",
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), []string{"-alg", alg, "-verify", path}, &stdout, &stderr)
+		if code != 1 {
+			t.Errorf("%s: exit %d, want 1; stdout %s stderr %s", alg, code, stdout.String(), stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "vertex 1 has out-of-range neighbor 7") {
+			t.Errorf("%s: stderr does not name the bad neighbor: %s", alg, stderr.String())
+		}
+	}
+}
+
 // TestTimeoutPartialStats: -timeout expiry exits with status 1 and reports
 // the partial I/O statistics instead of a fabricated result.
 func TestTimeoutPartialStats(t *testing.T) {

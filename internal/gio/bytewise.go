@@ -88,7 +88,7 @@ func (s *bytewiseScanner) next() bool {
 		s.err = fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id)
 		return false
 	}
-	if uint64(deg) >= s.file.header.Vertices {
+	if uint64(deg) >= s.file.degLimit {
 		s.err = fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg)
 		return false
 	}
@@ -96,8 +96,13 @@ func (s *bytewiseScanner) next() bool {
 		s.scratch = make([]uint32, deg, deg*2)
 	}
 	s.scratch = s.scratch[:deg]
-	if err := readUint32s(s.br, s.scratch); err != nil {
+	hi, err := readUint32s(s.br, s.scratch)
+	if err != nil {
 		s.err = fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, id, err)
+		return false
+	}
+	if uint64(hi) >= s.file.header.Vertices {
+		s.err = errNeighborRange(s.file.path, uint64(id), s.scratch, s.file.header.Vertices)
 		return false
 	}
 	s.rec.ID = id
@@ -126,7 +131,7 @@ func (s *bytewiseScanner) nextCompressed() bool {
 		s.err = fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id64)
 		return false
 	}
-	if deg64 >= s.file.header.Vertices {
+	if deg64 >= s.file.degLimit {
 		s.err = fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id64, deg64)
 		return false
 	}
@@ -159,23 +164,23 @@ func (s *bytewiseScanner) nextCompressed() bool {
 	return true
 }
 
-// readUint32s fills dst with little-endian uint32 values from r.
-func readUint32s(r io.Reader, dst []uint32) error {
+// readUint32s fills dst with little-endian uint32 values from r and returns
+// the largest of them.
+func readUint32s(r io.Reader, dst []uint32) (uint32, error) {
 	var buf [4096]byte
+	hi := uint32(0)
 	for len(dst) > 0 {
 		chunk := len(dst) * 4
 		if chunk > len(buf) {
 			chunk = len(buf)
 		}
 		if _, err := io.ReadFull(r, buf[:chunk]); err != nil {
-			return err
+			return 0, err
 		}
-		for i := 0; i < chunk/4; i++ {
-			dst[i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
+		hi = max(hi, DecodeUint32s(dst[:chunk/4], buf[:chunk]))
 		dst = dst[chunk/4:]
 	}
-	return nil
+	return hi, nil
 }
 
 // statsReader counts bytes and buffered refills.

@@ -140,7 +140,7 @@ func (s *Scanner) fillCompressed() {
 				s.fail(fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id64))
 				return
 			}
-			if deg64 >= h.Vertices {
+			if deg64 >= s.file.degLimit {
 				s.fail(fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id64, deg64))
 				return
 			}

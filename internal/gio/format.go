@@ -83,5 +83,8 @@ func decodeHeader(buf []byte) (Header, error) {
 	h.Flags = binary.LittleEndian.Uint32(buf[12:])
 	h.Vertices = binary.LittleEndian.Uint64(buf[16:])
 	h.Edges = binary.LittleEndian.Uint64(buf[24:])
+	if h.Vertices > 1<<32 {
+		return h, fmt.Errorf("%w: %d vertices exceed the 32-bit vertex ID space", ErrBadFormat, h.Vertices)
+	}
 	return h, nil
 }

@@ -272,6 +272,57 @@ func TestCorruptDegree(t *testing.T) {
 	}
 }
 
+// TestDegreeBeyondPayload: a degree below the header's vertex count but
+// larger than the file could hold fails as an impossible degree in every
+// engine, before any decoder sizes a buffer by it. The header claims 2^32
+// vertices, the most 32-bit IDs allow, and the record 2^31 neighbors.
+func TestDegreeBeyondPayload(t *testing.T) {
+	for _, compressed := range []bool{false, true} {
+		path := writeParityFile(t, t.TempDir(), graph.FromEdges(2, [][2]uint32{{0, 1}}), compressed, "g.adj")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(data[16:], 1<<32)
+		if compressed {
+			// Record 0: id 0, then a 5-byte varint degree over the first
+			// gap and the next record.
+			data = append(data[:HeaderSize+1], 0x80, 0x80, 0x80, 0x80, 0x08)
+		} else {
+			data = data[:HeaderSize+8]
+			binary.LittleEndian.PutUint32(data[HeaderSize+4:], 1<<31)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ref := runScan(t, path, "bytewise", DefaultBlockSize)
+		if !strings.Contains(ref.errString(), "vertex 0 has impossible degree 2147483648") {
+			t.Fatalf("compressed=%v: err = %s, want an impossible degree", compressed, ref.errString())
+		}
+		assertParity(t, path, DefaultBlockSize)
+	}
+}
+
+// TestVertexCountBeyondIDSpace: a header claiming more vertices than 32-bit
+// IDs can name is rejected at Open.
+func TestVertexCountBeyondIDSpace(t *testing.T) {
+	path := writeParityFile(t, t.TempDir(), graph.FromEdges(2, [][2]uint32{{0, 1}}), false, "g.adj")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[16:], 1<<32+1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := Open(path, 0, nil); !errors.Is(err, ErrBadFormat) {
+		if err == nil {
+			f.Close()
+		}
+		t.Fatalf("Open: err = %v, want ErrBadFormat", err)
+	}
+}
+
 func TestEdgeListText(t *testing.T) {
 	src := `# comment
 0 1

@@ -165,6 +165,15 @@ func u32view(b []byte, n int) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
+// maxUint32 returns the largest value in vs, 0 for an empty vs.
+func maxUint32(vs []uint32) uint32 {
+	hi := uint32(0)
+	for _, v := range vs {
+		hi = max(hi, v)
+	}
+	return hi
+}
+
 // emptyNeighbors is the zero-length Neighbors slice of degree-0 records on
 // the zero-copy path, mirroring the arena path's non-nil empty view.
 var emptyNeighbors = []uint32{}
@@ -336,7 +345,37 @@ func (s *Scanner) moreMapped() bool {
 // slice reinterprets the mapping bytes in place. Validation, error
 // positions and batch cadence (record and neighbor-volume caps) match
 // fillRaw; only the arena traffic disappears.
+//
+// With no conversion loop to fold the neighbor range check into, it checks
+// the whole batch at once: a mapped window never moves, so the batch is one
+// run of 4-aligned words — record headers, whose IDs and degrees are
+// already in range, and neighbor lists — and one max over it clears every
+// neighbor. Only a failing batch is searched record by record, and cut
+// before its first offending record, as fillRaw would have stopped there.
+// The check runs before any failure releases the scan's mapping reference.
 func (s *Scanner) fillRawZeroCopy() {
+	start := s.pos
+	err := s.decodeRawViews()
+	vertices := s.file.header.Vertices
+	if uint64(maxUint32(u32view(s.win[start:], (s.pos-start)/4))) >= vertices {
+		for i, r := range s.recs {
+			if rerr := errNeighborRange(s.file.path, uint64(r.ID), r.Neighbors, vertices); rerr != nil {
+				s.read -= uint64(len(s.recs) - i)
+				s.recs = s.recs[:i]
+				err = rerr // precedes whatever stopped the decode loop
+				break
+			}
+		}
+	}
+	if err != nil {
+		s.fail(err)
+	}
+}
+
+// decodeRawViews is fillRawZeroCopy's decode loop, without the neighbor
+// range check. It returns the error that stopped it, leaving the failure to
+// the caller.
+func (s *Scanner) decodeRawViews() error {
 	h := s.file.header
 	vol := 0
 	for s.read < s.limit && len(s.recs) < batchMaxRecords && vol < batchTargetInts {
@@ -346,29 +385,26 @@ func (s *Scanner) fillRawZeroCopy() {
 			s.pending = false
 		} else {
 			if err := s.ensure(8); err != nil {
-				s.fail(fmt.Errorf("%w: %s: record %d header: %v", ErrBadFormat, s.file.path, s.read, err))
-				return
+				return fmt.Errorf("%w: %s: record %d header: %v", ErrBadFormat, s.file.path, s.read, err)
 			}
 			id = uint64(binary.LittleEndian.Uint32(s.win[s.pos:]))
 			deg = uint64(binary.LittleEndian.Uint32(s.win[s.pos+4:]))
 			s.pos += 8
 			if id >= h.Vertices {
-				s.fail(fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id))
-				return
+				return fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id)
 			}
-			if deg >= h.Vertices {
-				s.fail(fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg))
-				return
+			if deg >= s.file.degLimit {
+				return fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg)
 			}
 		}
 		n := int(deg)
 		if err := s.ensure(n * 4); err != nil {
-			s.fail(fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, id, err))
-			return
+			return fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, id, err)
 		}
 		s.recs = append(s.recs, Record{ID: uint32(id), Neighbors: u32view(s.win[s.pos:], n)})
 		s.pos += n * 4
 		vol += n
 		s.read++
 	}
+	return nil
 }

@@ -81,7 +81,9 @@ func (ra *RandomAccessFile) Fetch(v uint32) ([]uint32, error) {
 		return nil, fmt.Errorf("%w: random read of vertex %d found record %d", ErrBadFormat, v, id)
 	}
 	out := make([]uint32, deg)
-	DecodeUint32s(out, buf[8:])
+	if hi := DecodeUint32s(out, buf[8:]); uint64(hi) >= ra.f.header.Vertices {
+		return nil, errNeighborRange(ra.f.path, uint64(v), out, ra.f.header.Vertices)
+	}
 	return out, nil
 }
 

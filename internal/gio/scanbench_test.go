@@ -70,11 +70,18 @@ func benchFilePaths(b *testing.B) (raw, comp, sorted string) {
 }
 
 func benchScan(b *testing.B, path string, engine string) {
-	f, err := gio.Open(path, 0, nil)
+	open := gio.Open
+	if engine == "mmap" || engine == "mmap-zerocopy" {
+		open = gio.OpenMmap
+	}
+	f, err := open(path, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer f.Close()
+	if engine == "mmap" {
+		f.SetMmapZeroCopy(false)
+	}
 	size, err := f.SizeBytes()
 	if err != nil {
 		b.Fatal(err)
@@ -89,7 +96,7 @@ func benchScan(b *testing.B, path string, engine string) {
 				sink += uint64(r.ID) + uint64(len(r.Neighbors))
 				return nil
 			})
-		case "batch":
+		case "batch", "mmap", "mmap-zerocopy":
 			err = f.ForEachBatch(func(batch []gio.Record) error {
 				for _, r := range batch {
 					sink += uint64(r.ID) + uint64(len(r.Neighbors))
@@ -119,6 +126,16 @@ func BenchmarkScanRaw(b *testing.B) {
 func BenchmarkScanRawBatch(b *testing.B) {
 	raw, _, _ := benchFilePaths(b)
 	benchScan(b, raw, "batch")
+}
+
+func BenchmarkScanRawMmap(b *testing.B) {
+	raw, _, _ := benchFilePaths(b)
+	benchScan(b, raw, "mmap")
+}
+
+func BenchmarkScanRawMmapZeroCopy(b *testing.B) {
+	raw, _, _ := benchFilePaths(b)
+	benchScan(b, raw, "mmap-zerocopy")
 }
 
 func BenchmarkScanRawBytewise(b *testing.B) {

@@ -41,6 +41,13 @@ type File struct {
 	payloadEnd int64
 	hasFooter  bool
 
+	// degLimit is the exclusive bound on a record's degree: below the
+	// vertex count, and low enough that the neighbor list fits in the
+	// payload (4 bytes per raw neighbor, at least 1 per varint gap), so no
+	// decoder allocates for more neighbors than the file can hold. Fixed at
+	// Open.
+	degLimit uint64
+
 	// mm is the shared memory mapping of an OpenMmap file (nil otherwise),
 	// shared by every view like the plan cache.
 	mm *mapState
@@ -105,6 +112,12 @@ func Open(path string, blockSize int, stats *Counters) (*File, error) {
 			// answers without a planning scan for the file's whole lifetime.
 			g.plan.cuts = ct
 		}
+	}
+	g.degLimit = h.Vertices
+	if payload := max(g.payloadEnd-HeaderSize, 0); h.Flags&FlagCompressed != 0 {
+		g.degLimit = min(g.degLimit, uint64(payload)+1)
+	} else {
+		g.degLimit = min(g.degLimit, uint64(payload)/4+1)
 	}
 	return g, nil
 }
@@ -490,7 +503,7 @@ func (s *Scanner) fillRaw() {
 				s.fail(fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id))
 				return
 			}
-			if deg >= h.Vertices {
+			if deg >= s.file.degLimit {
 				s.fail(fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg))
 				return
 			}
@@ -506,7 +519,10 @@ func (s *Scanner) fillRaw() {
 		}
 		start := len(s.arena)
 		s.arena = s.arena[:start+n]
-		DecodeUint32s(s.arena[start:], s.win[s.pos:])
+		if hi := DecodeUint32s(s.arena[start:], s.win[s.pos:]); uint64(hi) >= h.Vertices {
+			s.fail(errNeighborRange(s.file.path, id, s.arena[start:], h.Vertices))
+			return
+		}
 		s.pos += n * 4
 		s.recs = append(s.recs, Record{ID: uint32(id), Neighbors: s.arena[start : start+n : start+n]})
 		s.read++
@@ -658,17 +674,36 @@ func (s *Scanner) close() {
 	}
 }
 
-// DecodeUint32s decodes len(dst) little-endian uint32 values from src. It is
-// the single bulk decoder for fixed-width neighbor lists, shared with the
-// external-sort run reader.
-func DecodeUint32s(dst []uint32, src []byte) {
+// DecodeUint32s decodes len(dst) little-endian uint32 values from src and
+// returns the largest of them (0 for an empty dst), so that a caller
+// decoding neighbor IDs range-checks the whole list with one comparison.
+// It is the single fixed-width decode loop, shared by the raw scan path,
+// the random-access reader and the external-sort run reader.
+func DecodeUint32s(dst []uint32, src []byte) uint32 {
 	if len(dst) == 0 {
-		return
+		return 0
 	}
 	_ = src[4*len(dst)-1] // one bounds check for the whole loop
+	hi := uint32(0)
 	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(src[i*4:])
+		v := binary.LittleEndian.Uint32(src[i*4:])
+		dst[i] = v
+		hi = max(hi, v)
 	}
+	return hi
+}
+
+// errNeighborRange reports the first of vertex id's neighbors that is not a
+// vertex of an n-vertex graph, with the message the varint decoder uses, so
+// every raw decoder names the same offending value. Nil when all are in
+// range.
+func errNeighborRange(path string, id uint64, neighbors []uint32, n uint64) error {
+	for _, v := range neighbors {
+		if uint64(v) >= n {
+			return fmt.Errorf("%w: %s: vertex %d has out-of-range neighbor %d", ErrBadFormat, path, id, v)
+		}
+	}
+	return nil
 }
 
 // AppendRawRecord appends the raw (uncompressed) on-disk encoding of one
