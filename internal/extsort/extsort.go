@@ -97,7 +97,7 @@ func SortByDegree(src, dst string, opts Options) error {
 		return err
 	}
 	return s.write(dst, func(out *output) error {
-		return merge(s.runs, s.rank, s.opts.BlockSize, out.append)
+		return s.merge(s.runs, out.append)
 	})
 }
 
@@ -171,7 +171,7 @@ func (s *sorter) spill() error {
 	if err != nil {
 		return err
 	}
-	w, err := newRunWriter(path, s.opts.BlockSize)
+	w, err := newRunWriter(path, s.opts)
 	if err != nil {
 		return err
 	}
@@ -224,11 +224,11 @@ func (s *sorter) mergeLevels() error {
 			if err != nil {
 				return err
 			}
-			w, err := newRunWriter(path, s.opts.BlockSize)
+			w, err := newRunWriter(path, s.opts)
 			if err != nil {
 				return err
 			}
-			if err := merge(group, s.rank, s.opts.BlockSize, w.append); err != nil {
+			if err := s.merge(group, w.append); err != nil {
 				w.close()
 				return err
 			}
@@ -365,7 +365,8 @@ func (b *buffer) writeTo(out *output) error {
 // merge k-way merges run files whose records are in rank order, handing
 // each record to emit in rank order. The neighbor slice passed to emit is
 // valid only during the call.
-func merge(runs []string, rank []uint32, blockSize int, emit func(id uint32, ns []uint32) error) error {
+func (s *sorter) merge(runs []string, emit func(id uint32, ns []uint32) error) error {
+	rank := s.rank
 	readers := make([]*runReader, len(runs))
 	defer func() {
 		for _, r := range readers {
@@ -376,7 +377,7 @@ func merge(runs []string, rank []uint32, blockSize int, emit func(id uint32, ns 
 	}()
 	h := make(mergeHeap, 0, len(runs))
 	for i, path := range runs {
-		r, err := newRunReader(path, blockSize, uint32(len(rank)))
+		r, err := newRunReader(path, s.opts, uint32(len(rank)))
 		if err != nil {
 			return err
 		}

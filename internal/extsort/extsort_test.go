@@ -339,6 +339,41 @@ func TestSortThatFitsReadsOnce(t *testing.T) {
 	requireOnly(t, dir, "in.adj", "out.adj")
 }
 
+// TestSpillIOCounted pins the accounting of a spilling sort's run files:
+// it reports the bytes of the same sort done in memory plus the run files'
+// sizes, in each direction — every record written to a run once and read
+// back once by the single merge — and more blocks both ways.
+func TestSpillIOCounted(t *testing.T) {
+	g := plrg.PowerLawN(5000, 2.0, 5)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "in.adj")
+	writeShuffled(t, src, g, 0, 1)
+	sortStats := func(budget int) gio.Stats {
+		t.Helper()
+		var stats gio.Counters
+		if err := SortByDegree(src, filepath.Join(dir, "out.adj"), Options{MemoryBudget: budget, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Snapshot()
+	}
+	mem, spill := sortStats(0), sortStats(64*1024)
+	// Runs hold raw records: an ID, a degree and 4 bytes per neighbor.
+	runBytes := uint64(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		runBytes += 8 + 4*uint64(len(g.Neighbors(uint32(v))))
+	}
+	if spill.BytesWritten != mem.BytesWritten+runBytes {
+		t.Errorf("spilling sort wrote %d bytes, want %d in memory + %d of runs", spill.BytesWritten, mem.BytesWritten, runBytes)
+	}
+	if spill.BytesRead != mem.BytesRead+runBytes {
+		t.Errorf("spilling sort read %d bytes, want %d in memory + %d of runs", spill.BytesRead, mem.BytesRead, runBytes)
+	}
+	if spill.BlocksWritten <= mem.BlocksWritten || spill.BlocksRead <= mem.BlocksRead {
+		t.Errorf("spilling sort blocks (r/w) %d/%d, not above in memory's %d/%d",
+			spill.BlocksRead, spill.BlocksWritten, mem.BlocksRead, mem.BlocksWritten)
+	}
+}
+
 // TestConcurrentSpillingSorts runs two spilling sorts into one directory at
 // once: each must keep its runs to itself and clean them up.
 func TestConcurrentSpillingSorts(t *testing.T) {

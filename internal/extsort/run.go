@@ -24,15 +24,22 @@ type runWriter struct {
 	buf []byte
 }
 
-func newRunWriter(path string, blockSize int) (*runWriter, error) {
-	if blockSize <= 0 {
-		blockSize = 256 * 1024
-	}
+// newRunWriter creates a run file whose writes are accounted in
+// opts.Stats, block by block.
+func newRunWriter(path string, opts Options) (*runWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: create run %s: %w", path, err)
 	}
-	return &runWriter{f: f, bw: bufio.NewWriterSize(f, blockSize)}, nil
+	return &runWriter{f: f, bw: bufio.NewWriterSize(gio.CountWrites(f, opts.Stats), runBlockSize(opts))}, nil
+}
+
+// runBlockSize is the run files' I/O buffer size.
+func runBlockSize(opts Options) int {
+	if opts.BlockSize <= 0 {
+		return 256 * 1024
+	}
+	return opts.BlockSize
 }
 
 func (w *runWriter) append(id uint32, neighbors []uint32) error {
@@ -61,15 +68,15 @@ type runReader struct {
 	ns []uint32
 }
 
-func newRunReader(path string, blockSize int, n uint32) (*runReader, error) {
-	if blockSize <= 0 {
-		blockSize = 256 * 1024
-	}
+// newRunReader opens a run file of an n-vertex graph whose reads are
+// accounted in opts.Stats, block by block.
+func newRunReader(path string, opts Options, n uint32) (*runReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run %s: %w", path, err)
 	}
-	return &runReader{f: f, br: bufio.NewReaderSize(f, blockSize), path: path, n: n, buf: make([]byte, 8)}, nil
+	br := bufio.NewReaderSize(gio.CountReads(f, opts.Stats), runBlockSize(opts))
+	return &runReader{f: f, br: br, path: path, n: n, buf: make([]byte, 8)}, nil
 }
 
 // next reads the next record into id and ns, reporting false at the end of

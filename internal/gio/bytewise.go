@@ -189,6 +189,10 @@ type statsReader struct {
 	stats *Counters
 }
 
+// CountReads is CountWrites for reads: each non-empty Read is accounted as
+// its bytes and one block.
+func CountReads(r io.Reader, stats *Counters) io.Reader { return statsReader{r, stats} }
+
 func (sr statsReader) Read(p []byte) (int, error) {
 	n, err := sr.r.Read(p)
 	if sr.stats != nil {

@@ -169,6 +169,11 @@ func newCountingWriter(w io.Writer, blockSize int, stats *Counters) *countingWri
 	return cw
 }
 
+// CountWrites returns w with each Write accounted in stats as its bytes
+// and one block, as gio's own writers account theirs. For files gio does not
+// own, such as the external sort's runs; stats may be nil.
+func CountWrites(w io.Writer, stats *Counters) io.Writer { return statsWriter{w, stats} }
+
 type statsWriter struct {
 	w     io.Writer
 	stats *Counters
