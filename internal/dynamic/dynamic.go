@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/gio"
 )
@@ -320,9 +319,12 @@ func (m *Maintainer) VerifyCtx(ctx context.Context) error {
 
 // Materialize writes the effective graph to path as a degree-sorted
 // adjacency file, so the swap pipeline can re-optimize from scratch once
-// the delta has grown past the caller's threshold. The file appears at
-// path atomically — written to a temp file, fsynced, then renamed — so an
-// error or crash mid-write never leaves a partial file at the destination.
+// the delta has grown past the caller's threshold. The file is in Section
+// 4.1's order, records and neighbor lists alike ascending by (degree, ID):
+// byte for byte what gio.WriteGraphSorted writes for the effective graph.
+// It appears at path atomically — written to a temp file, fsynced, then
+// renamed — so an error or crash mid-write never leaves a partial file at
+// the destination.
 func (m *Maintainer) Materialize(path string) error {
 	return m.MaterializeCtx(context.Background(), path)
 }
@@ -331,35 +333,41 @@ func (m *Maintainer) Materialize(path string) error {
 // scan within one batch, removes the temp file, and leaves the destination
 // untouched.
 func (m *Maintainer) MaterializeCtx(ctx context.Context, path string) error {
-	type rec struct {
-		id uint32
-		ns []uint32
-	}
-	recs := make([]rec, 0, m.n)
-	var buf []uint32
+	// One scan gathers the effective records into flat arrays, in scan
+	// order: ids[i]'s neighbors are nbrs[offs[i]:offs[i+1]].
+	ids := make([]uint32, 0, m.n)
+	offs := make([]int, 1, m.n+1)
+	var nbrs, buf []uint32
+	rank := make([]uint32, m.n) // effective degrees, then ranks
 	err := m.f.ForEachCtx(ctx, func(r gio.Record) error {
 		buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
-		ns := make([]uint32, len(buf))
-		copy(ns, buf)
-		recs = append(recs, rec{r.ID, ns})
+		ids = append(ids, r.ID)
+		nbrs = append(nbrs, buf...)
+		offs = append(offs, len(nbrs))
+		rank[r.ID] = uint32(len(buf))
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("dynamic: materialize: %w", err)
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if len(recs[i].ns) != len(recs[j].ns) {
-			return len(recs[i].ns) < len(recs[j].ns)
-		}
-		return recs[i].id < recs[j].id
-	})
+	if len(ids) != m.n {
+		return fmt.Errorf("dynamic: materialize: base has %d records for %d vertices", len(ids), m.n)
+	}
+	gio.DegreeRanks(rank)
+	slot := make([]int, m.n) // slot[rank] = the record's scan index
+	for i, id := range ids {
+		slot[rank[id]] = i
+	}
 	tmp := path + ".tmp"
 	w, err := gio.NewWriter(tmp, gio.FlagDegreeSorted, 0, m.f.Stats())
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := w.Append(r.id, r.ns); err != nil {
+	var keys []uint64
+	for _, i := range slot {
+		ns := nbrs[offs[i]:offs[i+1]]
+		keys = gio.SortByRank(ns, rank, keys)
+		if err := w.Append(ids[i], ns); err != nil {
 			w.Close()
 			os.Remove(tmp)
 			return err

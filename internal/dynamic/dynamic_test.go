@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -282,6 +283,28 @@ func TestMaterializeMatchesEffective(t *testing.T) {
 		if !got.HasEdge(u, v) {
 			t.Fatalf("edge {%d,%d} missing after materialize", u, v)
 		}
+	}
+	// Records and neighbor lists are in Section 4.1's (degree, ID) order:
+	// the file is exactly the sorted writer's output for the effective graph.
+	b := graph.NewBuilder(ref.n)
+	for k := range ref.edges {
+		b.AddEdge(uint32(k>>32), uint32(k&0xffffffff))
+	}
+	refPath := filepath.Join(t.TempDir(), "ref.adj")
+	if err := gio.WriteGraphSorted(refPath, b.Build(), nil); err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("materialized file (%d bytes) differs from gio.WriteGraphSorted of the effective graph (%d bytes)",
+			len(gotBytes), len(wantBytes))
 	}
 	// The materialized file feeds the full pipeline.
 	mf, err := gio.Open(path, 0, nil)
