@@ -272,6 +272,30 @@ func TestCorruptDegree(t *testing.T) {
 	}
 }
 
+// TestDecodeUint32s checks the shared fixed-width decode loop against
+// binary.LittleEndian value by value, and its returned maximum, at every
+// length up to 9 — both parities of its two-at-a-time loop.
+func TestDecodeUint32s(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 9; n++ {
+		src := make([]byte, 4*n+3) // trailing bytes must be ignored
+		rng.Read(src)
+		dst := make([]uint32, n)
+		hi := DecodeUint32s(dst, src)
+		want := uint32(0)
+		for i := range dst {
+			v := binary.LittleEndian.Uint32(src[4*i:])
+			if dst[i] != v {
+				t.Fatalf("n=%d: dst[%d] = %d, want %d", n, i, dst[i], v)
+			}
+			want = max(want, v)
+		}
+		if hi != want {
+			t.Fatalf("n=%d: max %d, want %d", n, hi, want)
+		}
+	}
+}
+
 // TestDegreeBeyondPayload: a degree below the header's vertex count but
 // larger than the file could hold fails as an impossible degree in every
 // engine, before any decoder sizes a buffer by it. The header claims 2^32

@@ -165,13 +165,19 @@ func u32view(b []byte, n int) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
-// maxUint32 returns the largest value in vs, 0 for an empty vs.
+// maxUint32 returns the largest value in vs, 0 for an empty vs. Four
+// running maxima keep the loop off a single compare-and-move chain: this
+// loop is all the zero-copy engine does per neighbor.
 func maxUint32(vs []uint32) uint32 {
-	hi := uint32(0)
-	for _, v := range vs {
-		hi = max(hi, v)
+	var a, b, c, d uint32
+	for len(vs) >= 4 {
+		a, b, c, d = max(a, vs[0]), max(b, vs[1]), max(c, vs[2]), max(d, vs[3])
+		vs = vs[4:]
 	}
-	return hi
+	for _, v := range vs {
+		a = max(a, v)
+	}
+	return max(a, b, c, d)
 }
 
 // emptyNeighbors is the zero-length Neighbors slice of degree-0 records on

@@ -680,17 +680,21 @@ func (s *Scanner) close() {
 // It is the single fixed-width decode loop, shared by the raw scan path,
 // the random-access reader and the external-sort run reader.
 func DecodeUint32s(dst []uint32, src []byte) uint32 {
-	if len(dst) == 0 {
-		return 0
+	src = src[:4*len(dst)]
+	// Two values per step, each into its own running maximum, re-slicing
+	// as it goes so the compiler drops the per-value bounds checks.
+	var a, b uint32
+	for len(dst) >= 2 && len(src) >= 8 {
+		x, y := binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:8])
+		dst[0], dst[1] = x, y
+		a, b = max(a, x), max(b, y)
+		dst, src = dst[2:], src[8:]
 	}
-	_ = src[4*len(dst)-1] // one bounds check for the whole loop
-	hi := uint32(0)
-	for i := range dst {
-		v := binary.LittleEndian.Uint32(src[i*4:])
-		dst[i] = v
-		hi = max(hi, v)
+	if len(dst) > 0 && len(src) >= 4 {
+		dst[0] = binary.LittleEndian.Uint32(src)
+		a = max(a, dst[0])
 	}
-	return hi
+	return max(a, b)
 }
 
 // errNeighborRange reports the first of vertex id's neighbors that is not a
