@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -117,6 +118,51 @@ func TestMmapCompressedUsesArena(t *testing.T) {
 // TestMmapCloseDuringScan is the lifetime contract under -race: File.Close
 // racing a mapped scan must wait for the in-flight callback, fail the scan
 // at its next batch, and never unmap under a reader.
+// TestMmapCloseMidBatch races Close against zero-copy scans whose callback
+// reads every neighbor, closing 0–950 µs after the first batch arrives so
+// that Close often lands at a block refill inside a later batch. The scan fails there, but the
+// records it decoded before the refill are still handed to the callback,
+// and their Neighbors alias the mapping: the scan must keep its reference
+// until the callback is done with them, or the read faults.
+func TestMmapCloseMidBatch(t *testing.T) {
+	path := writeMmapTestFile(t, t.TempDir(), 200000, false)
+	for i := range 200 {
+		f, err := OpenMmap(path, 4096, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.MmapZeroCopy() {
+			f.Close()
+			t.Skip("zero-copy mmap unavailable on this platform/build")
+		}
+		// sink lives outside the callback so the reads cannot be
+		// optimized away.
+		var sink uint64
+		started := make(chan struct{})
+		scanDone := make(chan error, 1)
+		go func() {
+			var once sync.Once
+			scanDone <- f.ForEachBatch(func(batch []Record) error {
+				once.Do(func() { close(started) })
+				for _, r := range batch {
+					for _, nb := range r.Neighbors {
+						sink += uint64(nb)
+					}
+				}
+				return nil
+			})
+		}()
+		<-started
+		time.Sleep(time.Duration(i%20) * 50 * time.Microsecond)
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if err := <-scanDone; err != nil && !strings.Contains(err.Error(), errScanStopped.Error()) {
+			t.Fatalf("scan error = %v, want scan-stopped (or completion)", err)
+		}
+	}
+}
+
 func TestMmapCloseDuringScan(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compressed=%v", compressed), func(t *testing.T) {
@@ -132,19 +178,20 @@ func TestMmapCloseDuringScan(t *testing.T) {
 
 			firstBatch := make(chan struct{})
 			scanDone := make(chan error, 1)
+			// sink lives outside the callback so the reads below cannot be
+			// optimized away.
+			var sink uint64
 			go func() {
 				var once sync.Once
 				scanDone <- f.ForEachBatch(func(batch []Record) error {
 					once.Do(func() { close(firstBatch) })
 					// Touch every neighbor: if Close unmapped under us this
 					// faults, and -race flags any unsynchronized teardown.
-					var sink uint64
 					for _, r := range batch {
 						for _, nb := range r.Neighbors {
 							sink += uint64(nb)
 						}
 					}
-					_ = sink
 					return nil
 				})
 			}()

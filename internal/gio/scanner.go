@@ -438,6 +438,9 @@ func (s *Scanner) fillBatch() {
 	s.recs = s.recs[:0]
 	s.nextRec = 0
 	if s.err != nil || s.done {
+		if s.mapped {
+			s.close() // a reference fail kept for a failed batch
+		}
 		return
 	}
 	if s.ctx != nil {
@@ -643,10 +646,17 @@ func (s *Scanner) finish() {
 	s.close()
 }
 
-// fail records the scan's first error and stops the pipeline.
+// fail records the scan's first error and stops the pipeline. A mapped
+// scan failing mid-batch keeps its mapping reference for now: the records
+// decoded before the failure are still handed out, and zero-copy ones
+// alias the mapping, so the reference goes when the consumer is done with
+// them — at the next fillBatch, or Close.
 func (s *Scanner) fail(err error) {
 	if s.err == nil {
 		s.err = err
+	}
+	if s.mapped && len(s.recs) > 0 {
+		return
 	}
 	s.close()
 }
