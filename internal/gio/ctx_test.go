@@ -3,9 +3,11 @@ package gio
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // writeCtxFile writes a file with enough records for several batches.
@@ -164,5 +166,38 @@ func TestWithCountersViews(t *testing.T) {
 	}
 	if snap := root.Snapshot(); snap.Scans != views || snap.RecordsRead != views*total {
 		t.Fatalf("root totals: %+v", snap)
+	}
+}
+
+// TestCloseRacesScanStart closes a file 0–78 µs after a scan started on
+// another goroutine, on the pipelined and the mapped engine. Close stops
+// the view's active scan while the scan's start installs it, so the
+// active-scan slot must be guarded: run under -race. Any scan outcome is
+// fine (completed, stopped, or a read on the closed descriptor); a data
+// race or a hang is not.
+func TestCloseRacesScanStart(t *testing.T) {
+	path := writeMmapTestFile(t, t.TempDir(), 20000, false)
+	for _, mapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mapped), func(t *testing.T) {
+			for i := range 40 {
+				open := Open
+				if mapped {
+					open = OpenMmap
+				}
+				f, err := open(path, 4096, &Counters{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					done <- f.ForEachBatchCtx(context.Background(), func([]Record) error { return nil })
+				}()
+				time.Sleep(time.Duration(2*i) * time.Microsecond)
+				if err := f.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				<-done
+			}
+		})
 	}
 }

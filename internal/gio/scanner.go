@@ -28,8 +28,7 @@ type File struct {
 	header    Header
 	blockSize int
 	stats     *Counters
-	active    *prefetcher // the current scan's block pipeline, if any
-	activeM   *Scanner    // the current mapped scan, if any (see OpenMmap)
+	scan      *scanSlot // this view's active scan (see scanSlot)
 
 	// records is the number of adjacency records actually present: the
 	// footer's count when the file has one (shard files hold fewer records
@@ -63,6 +62,17 @@ type File struct {
 	// view marks a WithCounters view: Close then only stops the view's
 	// active scan, never the shared descriptor.
 	view bool
+}
+
+// scanSlot is one view's active-scan slot: the engine of the scan started
+// last — its block pipeline, or the mapped scanner (see OpenMmap) — which a
+// new scan supersedes and Close stops. Close may run on another goroutine
+// than the scan it stops, so the slot is guarded by its own mutex; every
+// view allocates its own slot (WithCounters copies the File by value).
+type scanSlot struct {
+	mu sync.Mutex
+	pf *prefetcher
+	m  *Scanner
 }
 
 // planState caches the partition-planning cut table (see Partitions).
@@ -102,7 +112,7 @@ func Open(path string, blockSize int, stats *Counters) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	g := &File{f: f, path: path, header: h, blockSize: blockSize, stats: stats, plan: &planState{}, dig: &digestState{}}
+	g := &File{f: f, path: path, header: h, blockSize: blockSize, stats: stats, scan: &scanSlot{}, plan: &planState{}, dig: &digestState{}}
 	g.records = h.Vertices
 	if fi, err := f.Stat(); err == nil {
 		g.payloadEnd = fi.Size()
@@ -131,8 +141,7 @@ func Open(path string, blockSize int, stats *Counters) (*File, error) {
 func (g *File) WithCounters(c *Counters) *File {
 	v := *g
 	v.stats = c
-	v.active = nil
-	v.activeM = nil
+	v.scan = &scanSlot{}
 	v.view = true
 	return &v
 }
@@ -194,14 +203,23 @@ func (g *File) Close() error {
 // it is next driven (it fails with errScanStopped), when Closed, or via its
 // GC cleanup.
 func (g *File) stopActive() {
-	if g.active != nil {
-		g.active.shutdown()
-		g.active = nil
+	g.scan.mu.Lock()
+	pf, m := g.scan.pf, g.scan.m
+	g.scan.pf, g.scan.m = nil, nil
+	g.scan.mu.Unlock()
+	if pf != nil {
+		pf.shutdown()
 	}
-	if g.activeM != nil {
-		g.activeM.mstopreq.Store(true)
-		g.activeM = nil
+	if m != nil {
+		m.mstopreq.Store(true)
 	}
+}
+
+// setActive installs a new scan's engine in the view's slot.
+func (g *File) setActive(pf *prefetcher, m *Scanner) {
+	g.scan.mu.Lock()
+	g.scan.pf, g.scan.m = pf, m
+	g.scan.mu.Unlock()
 }
 
 // Record is one vertex's adjacency record as stored on disk.
@@ -326,7 +344,7 @@ func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
 	if g.mm != nil {
 		s := g.newMappedScanner(HeaderSize, 0, g.records, false)
 		s.ctx = ctx
-		g.activeM = s
+		g.setActive(nil, s)
 		return s, nil
 	}
 	var done <-chan struct{}
@@ -334,7 +352,7 @@ func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
 		done = ctx.Done()
 	}
 	pf := newPrefetcher(g.f, HeaderSize, g.blockSize, done)
-	g.active = pf
+	g.setActive(pf, nil)
 	return &Scanner{
 		file:    g,
 		pf:      pf,
@@ -679,8 +697,12 @@ func (s *Scanner) close() {
 		return
 	}
 	s.pf.shutdown()
-	if !s.detached && s.file.active == s.pf {
-		s.file.active = nil
+	if slot := s.file.scan; !s.detached {
+		slot.mu.Lock()
+		if slot.pf == s.pf {
+			slot.pf = nil
+		}
+		slot.mu.Unlock()
 	}
 }
 
