@@ -76,9 +76,8 @@ func ColorByISCtx(ctx context.Context, f Source, maxColors int, h Hooks) (*Color
 		}
 		s := pipeline.New(f, rn.sopts(false))
 		s.Add(pipeline.Pass{
-			Name:           "color-class-greedy",
-			MutatesStates:  true,
-			NeedsScanOrder: true,
+			Name:          "color-class-greedy",
+			MutatesStates: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
 					r := &batch[i]

@@ -80,7 +80,6 @@ func (c *carryCollector) pass(name, product string) pipeline.Pass {
 		Name:           name,
 		Consumes:       product,
 		DeferredWrites: true,
-		NeedsScanOrder: true,
 		Batch:          c.batch,
 	}
 }

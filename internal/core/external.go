@@ -49,9 +49,8 @@ func ExternalMaximalCtx(ctx context.Context, f Source, opts ExternalMaximalOptio
 	posNext := uint32(0)
 	posSched := pipeline.New(f, rn.sopts(false))
 	posSched.Add(pipeline.Pass{
-		Name:           "external-positions",
-		ReadOnly:       true, // writes only the position array no co-scheduled pass reads
-		NeedsScanOrder: true,
+		Name:     "external-positions",
+		ReadOnly: true, // writes only the position array no co-scheduled pass reads
 		Batch: func(batch []gio.Record) error {
 			for j := range batch {
 				pos[batch[j].ID] = posNext
@@ -71,8 +70,7 @@ func ExternalMaximalCtx(ctx context.Context, f Source, opts ExternalMaximalOptio
 	var pqPeak int
 	mainSched := pipeline.New(f, rn.sopts(false))
 	mainSched.Add(pipeline.Pass{
-		Name:           "external-time-forward",
-		NeedsScanOrder: true,
+		Name: "external-time-forward",
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				r := &batch[i]

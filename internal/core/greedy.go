@@ -39,9 +39,8 @@ func GreedyScheduled(f Source, sopts pipeline.Options) (*Result, error) {
 	var deg DegreeStats
 	sched := pipeline.New(f, sopts)
 	sched.Add(pipeline.Pass{
-		Name:           "greedy-mark",
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          "greedy-mark",
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				r := &batch[i]

@@ -269,9 +269,8 @@ func oneKRound(f Source, states semiext.States, isn *semiext.ISN, opts SwapOptio
 	} else {
 		pre := opts.scheduler(f, rn)
 		pre.Add(pipeline.Pass{
-			Name:           "one-k-pre-swap",
-			MutatesStates:  true,
-			NeedsScanOrder: true,
+			Name:          "one-k-pre-swap",
+			MutatesStates: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
 					oneKPreRecord(states, isn, batch[i].ID, batch[i].Neighbors)
@@ -352,10 +351,9 @@ func setupPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pass 
 		name, product, limit = "two-k-setup", twoKProduct, 2
 	}
 	return pipeline.Pass{
-		Name:           name,
-		Produces:       product,
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          name,
+		Produces:      product,
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				r := &batch[i]
@@ -420,10 +418,9 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 		name, product, limit = "two-k-post-swap", twoKProduct, 2
 	}
 	return pipeline.Pass{
-		Name:           name,
-		Produces:       product,
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          name,
+		Produces:      product,
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 		records:
 			for i := range batch {

@@ -70,9 +70,8 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		// as its own scheduler pass (and therefore its own physical scan).
 		s1 := pipeline.New(f, rn.sopts(false))
 		s1.Add(pipeline.Pass{
-			Name:           "randomized-elect",
-			MutatesStates:  true,
-			NeedsScanOrder: true,
+			Name:          "randomized-elect",
+			MutatesStates: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
 					r.elect(batch[i].ID, batch[i].Neighbors)
@@ -86,9 +85,8 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		r.residual.Reset()
 		s2 := pipeline.New(f, rn.sopts(false))
 		s2.Add(pipeline.Pass{
-			Name:           "randomized-retire",
-			MutatesStates:  true,
-			NeedsScanOrder: true,
+			Name:          "randomized-retire",
+			MutatesStates: true,
 			Batch: func(batch []gio.Record) error {
 				for i := range batch {
 					r.retireOrCollect(batch[i].ID, batch[i].Neighbors)

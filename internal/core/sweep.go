@@ -66,9 +66,8 @@ func newSweeper(f Source, states semiext.States, sopts pipeline.Options) *sweepe
 func (sw *sweeper) pass(after string) pipeline.Pass {
 	sw.collected = true
 	return pipeline.Pass{
-		Name:           "maximality-sweep",
-		FuseAfter:      after,
-		NeedsScanOrder: true,
+		Name:      "maximality-sweep",
+		FuseAfter: after,
 		// Reads shared states during the scan; every write is deferred past
 		// it (DeferredWrites keeps the planner from fusing a later
 		// shared-state pass that would observe pre-apply state).
@@ -138,9 +137,8 @@ func (sw *sweeper) apply() error {
 func maximalitySweep(f Source, states semiext.States, sopts pipeline.Options) error {
 	s := pipeline.New(f, sopts)
 	s.Add(pipeline.Pass{
-		Name:           "maximality-sweep-classic",
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          "maximality-sweep-classic",
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 		records:
 			for i := range batch {

@@ -283,9 +283,8 @@ func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastBy
 func (st *twoKState) preSwapPass() pipeline.Pass {
 	nbrSet := make(map[uint32]struct{})
 	return pipeline.Pass{
-		Name:           "two-k-pre-swap",
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          "two-k-pre-swap",
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				st.preSwapRecord(batch[i].ID, batch[i].Neighbors, nbrSet)
@@ -505,9 +504,8 @@ func (st *twoKState) newGroup(ws ...uint32) int32 {
 func (st *twoKState) swapPass() pipeline.Pass {
 	st.canSwap = false
 	return pipeline.Pass{
-		Name:           "two-k-swap-validate",
-		MutatesStates:  true,
-		NeedsScanOrder: true,
+		Name:          "two-k-swap-validate",
+		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				r := &batch[i]

@@ -28,9 +28,8 @@ func UpperBoundCtx(ctx context.Context, f Source, h Hooks) (uint64, error) {
 	var bound uint64
 	s := pipeline.New(f, newRun(ctx, h).sopts(false))
 	s.Add(pipeline.Pass{
-		Name:           "upper-bound",
-		ReadOnly:       true, // the visited array is pass-private
-		NeedsScanOrder: true,
+		Name:     "upper-bound",
+		ReadOnly: true, // the visited array is pass-private
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
 				r := &batch[i]

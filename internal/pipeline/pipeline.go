@@ -95,14 +95,6 @@ type Pass struct {
 	// in either order, unless that pass names it in FuseAfter.
 	MutatesStates bool
 
-	// NeedsScanOrder declares that the pass's logic depends on observing
-	// records in exact scan order (scan-order preemption, greedy marking).
-	// Every physical scan today delivers scan order — the parallel executor
-	// merges partitions back — so the flag does not yet constrain the
-	// planner; it exists so a future partition-parallel mode knows which
-	// passes could consume unmerged partition streams.
-	NeedsScanOrder bool
-
 	// DeferredWrites declares that the pass mutates shared state from its
 	// Done hook (not during the scan — that is MutatesStates). A pass
 	// running after it in a separate scan would observe those writes, so

@@ -364,7 +364,6 @@ func FuzzPlanFusion(f *testing.F) {
 				Name:           fmt.Sprintf("p%d", i),
 				ReadOnly:       b&1 != 0,
 				MutatesStates:  b&2 != 0,
-				NeedsScanOrder: b&4 != 0,
 				DeferredWrites: b&16 != 0,
 			}
 			// A slice of the byte picks an earlier pass as a FuseAfter
