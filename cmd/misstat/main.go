@@ -12,7 +12,7 @@
 //
 // Arguments may be single adjacency files, shard manifest files, or
 // directories containing a MANIFEST.shards; sharded graphs are scanned
-// through the per-shard merge engine at the same -workers setting.
+// through the partition-merge engine at the same -workers setting.
 //
 // Scans are interruptible: -timeout bounds the run and SIGINT/SIGTERM
 // cancel it gracefully within one decoded batch.
@@ -74,8 +74,8 @@ func report(ctx context.Context, w io.Writer, path string, workers int, rounds b
 	var stats gio.Counters
 
 	// A shard manifest (or a directory holding one) opens through the shard
-	// layer; its merge engine is the scan source. A plain file opens as before
-	// with the partitioned executor on top.
+	// layer, a plain file directly; either way the partition-merge engine is
+	// the scan source.
 	var (
 		src          core.Source
 		n            int

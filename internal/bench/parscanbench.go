@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gio"
 	"repro/internal/plrg"
@@ -102,7 +103,7 @@ func ParScanBench(cfg *Config) error {
 		{"compressed", compPath},
 	}
 	best := map[string]float64{} // format/workers → MB/s
-	measure := func(format string, payload int64, workers int, src parScanSource) error {
+	measure := func(format string, payload int64, workers int, src core.Source) error {
 		var bestNs int64
 		for t := 0; t < trials; t++ {
 			ns, err := timeParScan(src, format)
@@ -157,7 +158,7 @@ func ParScanBench(cfg *Config) error {
 	}
 
 	// Shard mode: the raw graph split into vertex-range shards, scanned
-	// through the shard merge engine. Payload is the single raw file's — the
+	// through the same engine. Payload is the single raw file's — the
 	// same records are decoded — so MB/s stays comparable with the raw rows.
 	shardDir := filepath.Join(cfg.WorkDir, fmt.Sprintf("scanbench-shards-n%d", n))
 	if !shard.IsManifestPath(shardDir) {
@@ -229,18 +230,11 @@ func parScanOverwriteGuard(out string, numCPU int, force bool) error {
 	return nil
 }
 
-// parScanSource is the slice of the scan interface the sweep times: the
-// single-file executor and the shard merge engine both satisfy it.
-type parScanSource interface {
-	NumVertices() int
-	ForEachBatch(fn func([]gio.Record) error) error
-}
-
 // timeParScan measures one full scan folding IDs and degrees.
-func timeParScan(src parScanSource, name string) (int64, error) {
+func timeParScan(src core.Source, name string) (int64, error) {
 	var sink uint64
 	start := time.Now()
-	err := src.ForEachBatch(func(batch []gio.Record) error {
+	err := src.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 		for _, r := range batch {
 			sink += uint64(r.ID) + uint64(len(r.Neighbors))
 		}

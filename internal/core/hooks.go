@@ -54,14 +54,19 @@ func (h Hooks) round(ev RoundEvent) {
 
 // run bundles one algorithm run's cancellation and observability: the
 // context every scheduler run and round boundary checks, and the hooks
-// events are delivered through. The zero value (nil ctx, no hooks) is a
-// plain uncancellable, unobserved run — what the legacy entry points use.
+// events are delivered through. A nil ctx is a plain uncancellable run —
+// what the legacy entry points pass.
 type run struct {
 	ctx   context.Context
 	hooks Hooks
 }
 
-func newRun(ctx context.Context, h Hooks) run { return run{ctx: ctx, hooks: h} }
+func newRun(ctx context.Context, h Hooks) run {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return run{ctx: ctx, hooks: h}
+}
 
 // sopts builds the pipeline options for one scheduler run of this run.
 func (r run) sopts(unfused bool) pipeline.Options {
@@ -70,9 +75,4 @@ func (r run) sopts(unfused bool) pipeline.Options {
 
 // err reports the run's cancellation state; checked between scans, between
 // rounds, and before carried-collection replays.
-func (r run) err() error {
-	if r.ctx == nil {
-		return nil
-	}
-	return r.ctx.Err()
-}
+func (r run) err() error { return r.ctx.Err() }

@@ -1,23 +1,7 @@
 package core
 
-import "repro/internal/gio"
+import "repro/internal/pipeline"
 
-// Source is the scan engine an algorithm pass reads the graph through: one
-// full sequential pass per ForEachBatch call, batches delivered in scan
-// order on the calling goroutine. Both *gio.File (the sequential engine and
-// oracle) and *exec.Executor (the parallel partitioned executor) satisfy it,
-// and because the executor merges partitions back into scan order, a pass is
-// oblivious to which one it runs on — results are bit-identical by
-// construction, which the exec parity tests enforce.
-type Source interface {
-	// NumVertices returns the vertex count from the file header.
-	NumVertices() int
-	// Stats returns the shared I/O counters, which may be nil.
-	Stats() *gio.Counters
-	// ForEachBatch runs one full scan, invoking fn for every decoded batch
-	// of records in scan order. fn must not retain a batch.
-	ForEachBatch(fn func([]gio.Record) error) error
-	// ForEach runs one full scan, invoking fn for every record in scan
-	// order. fn must not retain the record's Neighbors slice.
-	ForEach(fn func(gio.Record) error) error
-}
+// Source is the scan engine an algorithm pass reads the graph through: the
+// one scan contract, declared by the pass scheduler (see pipeline.Source).
+type Source = pipeline.Source

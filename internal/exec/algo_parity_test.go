@@ -88,18 +88,6 @@ func TestAlgorithmParity(t *testing.T) {
 					t.Fatalf("upper bound workers=%d: got %d, want %d", workers, gotUB, wantUB)
 				}
 
-				wantDeg, err := gio.ReadDegrees(seqF)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotDeg, err := gio.ReadDegrees(ex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotDeg, wantDeg) {
-					t.Fatalf("degrees workers=%d: mismatch", workers)
-				}
-
 				if err := core.VerifyIndependent(ex, gotTwo.InSet); err != nil {
 					t.Fatal(err)
 				}

@@ -36,7 +36,7 @@ func TestCtxCancelDrainsWorkers(t *testing.T) {
 	f := openBig(t)
 	// Warm the partition plan so the canceled scans below take the parallel
 	// path rather than the sequential cold-start capture.
-	if err := New(f, 4).ForEachBatch(func([]gio.Record) error { return nil }); err != nil {
+	if err := New(f, 4).ForEachBatchCtx(context.Background(), func([]gio.Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestCtxParityWithPlainScan(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			var plain, withCtx uint64
-			if err := New(f, w).ForEachBatch(func(b []gio.Record) error {
+			if err := New(f, w).ForEachBatchCtx(context.Background(), func(b []gio.Record) error {
 				plain += uint64(len(b))
 				return nil
 			}); err != nil {

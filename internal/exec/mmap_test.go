@@ -97,7 +97,7 @@ func TestParallelMmapCloseDuringScan(t *testing.T) {
 			scanDone := make(chan error, 1)
 			go func() {
 				var once sync.Once
-				scanDone <- New(f, 4).ForEachBatch(func(batch []gio.Record) error {
+				scanDone <- New(f, 4).ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 					once.Do(func() { close(firstBatch) })
 					var sink uint64
 					for _, r := range batch {

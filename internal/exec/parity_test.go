@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -123,7 +124,7 @@ func runScan(t testing.TB, path string, workers, blockSize int) (out scanOutcome
 		// its own parity tests below). Planning failure is the executor's
 		// fallback signal and is deliberately ignored here.
 		_, _ = f.Partitions(workers * 2)
-		out.err = New(f, workers).ForEachBatch(collect)
+		out.err = New(f, workers).ForEachBatchCtx(context.Background(), collect)
 	}
 	return out
 }
@@ -270,7 +271,7 @@ func TestCallbackErrorPropagation(t *testing.T) {
 		}
 		defer f.Close()
 		seen := 0
-		err = New(f, workers).ForEachBatch(func(batch []gio.Record) error {
+		err = New(f, workers).ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 			for range batch {
 				seen++
 				if seen >= stopAfter {
@@ -334,7 +335,7 @@ func TestPostPlanCorruption(t *testing.T) {
 
 	outcome := func() (int, error) {
 		seen := 0
-		err := New(f, 4).ForEachBatch(func(batch []gio.Record) error {
+		err := New(f, 4).ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 			seen += len(batch)
 			return nil
 		})
@@ -380,7 +381,7 @@ func TestColdStartCapturePar(t *testing.T) {
 				label := fmt.Sprintf("compressed=%v workers=%d scan=%d", compressed, w, scan)
 				got := scanOutcome{}
 				statsBefore := stats.Snapshot()
-				got.err = ex.ForEachBatch(func(batch []gio.Record) error {
+				got.err = ex.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 					for _, r := range batch {
 						got.recs = append(got.recs, gio.Record{
 							ID:        r.ID,
@@ -426,7 +427,7 @@ func TestColdStartCaptureTrailingBytes(t *testing.T) {
 	ex := New(f, 4)
 	for scan := 0; scan < 2; scan++ {
 		got := scanOutcome{stats: ref.stats}
-		got.err = ex.ForEachBatch(func(batch []gio.Record) error {
+		got.err = ex.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 			for _, r := range batch {
 				got.recs = append(got.recs, gio.Record{
 					ID:        r.ID,
@@ -442,31 +443,5 @@ func TestColdStartCaptureTrailingBytes(t *testing.T) {
 	}
 	if f.PlanCaptureViable() {
 		t.Fatal("capture should be marked non-viable after offset validation failed")
-	}
-}
-
-// TestForEachRecordOrder checks the per-record convenience wrapper.
-func TestForEachRecordOrder(t *testing.T) {
-	dir := t.TempDir()
-	g := randomGraph(5, 300, 1200)
-	path := writeFile(t, dir, g, true, "fe.adj")
-	f, err := gio.Open(path, 4096, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	next := uint32(0)
-	err = New(f, 4).ForEach(func(r gio.Record) error {
-		if r.ID != next {
-			return fmt.Errorf("record %d out of order (want %d)", r.ID, next)
-		}
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(next) != g.NumVertices() {
-		t.Fatalf("saw %d records, want %d", next, g.NumVertices())
 	}
 }

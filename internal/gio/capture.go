@@ -1,17 +1,14 @@
 package gio
 
-import "context"
-
 // Opportunistic partition-plan capture: building the cut table (see
 // Partitions) normally costs one dedicated side scan through a separate file
 // handle. But any full sequential scan already decodes every record in scan
-// order, which is all the planning scan does — so a counted scan that is
-// running anyway can observe its own record stream and leave the plan behind
-// as a side effect. The pass scheduler (internal/pipeline) and the parallel
-// executor's cold start (internal/exec) use this to make the first scan of a
-// file plan its partitions for free, closing the "-workers on cold
-// single-pass workloads" gap: one physical pass instead of a planning pass
-// plus a scan.
+// order, which is all the planning scan does — so ForEachBatchCtx (and every
+// wrapper over it) observes its own record stream while no plan is cached
+// and leaves the plan behind as a side effect. The first full scan of a file
+// thus plans its partitions for free, and the parallel executor
+// (internal/exec) runs that scan on this engine before going parallel: one
+// physical pass instead of a planning pass plus a scan.
 
 // HasPartitionPlan reports whether the partition cut table is already cached,
 // i.e. whether Partitions can answer without a planning side scan.
@@ -30,33 +27,6 @@ func (g *File) PlanCaptureViable() bool {
 	g.plan.mu.Lock()
 	defer g.plan.mu.Unlock()
 	return g.plan.cuts == nil && g.plan.cutsErr == nil && !g.plan.captureFailed
-}
-
-// ForEachBatchWithPlanCapture runs one full sequential scan exactly like
-// ForEachBatch — same records, same batches, same error, same Stats — and,
-// when no partition plan is cached yet, additionally captures the plan from
-// the records flowing by, installing it if the scan completes and the
-// computed offsets check out. fn observes nothing of the capture; a scan
-// aborted by fn or by a decode error installs nothing.
-func (g *File) ForEachBatchWithPlanCapture(fn func([]Record) error) error {
-	return g.ForEachBatchWithPlanCaptureCtx(nil, fn)
-}
-
-// ForEachBatchWithPlanCaptureCtx is ForEachBatchWithPlanCapture bound to a
-// context (see ForEachBatchCtx); nil behaves identically.
-func (g *File) ForEachBatchWithPlanCaptureCtx(ctx context.Context, fn func([]Record) error) error {
-	if !g.PlanCaptureViable() {
-		return g.ForEachBatchCtx(ctx, fn)
-	}
-	cb := g.newCutBuilder()
-	err := g.ForEachBatchCtx(ctx, func(batch []Record) error {
-		cb.observe(batch)
-		return fn(batch)
-	})
-	if err == nil {
-		g.installCapturedPlan(cb)
-	}
-	return err
 }
 
 // installCapturedPlan validates a captured cut table against the file and

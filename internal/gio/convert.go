@@ -2,7 +2,6 @@ package gio
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -122,20 +121,13 @@ func WriteGraphSorted(path string, g *graph.Graph, stats *Counters) error {
 // graphs, the DynamicUpdate baseline and tests; semi-external algorithms use
 // File.Scan instead.
 func LoadGraph(path string, stats *Counters) (*graph.Graph, error) {
-	return LoadGraphCtx(nil, path, stats)
-}
-
-// LoadGraphCtx is LoadGraph bound to a context: a canceled or expired ctx
-// stops the load within one batch (see File.ForEachBatchCtx). A nil ctx
-// behaves exactly like LoadGraph.
-func LoadGraphCtx(ctx context.Context, path string, stats *Counters) (*graph.Graph, error) {
 	f, err := Open(path, 0, stats)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	b := graph.NewBuilder(f.NumVertices())
-	err = f.ForEachBatchCtx(ctx, func(batch []Record) error {
+	err = f.ForEachBatch(func(batch []Record) error {
 		for _, r := range batch {
 			for _, n := range r.Neighbors {
 				b.AddEdge(r.ID, n)
@@ -147,50 +139,6 @@ func LoadGraphCtx(ctx context.Context, path string, stats *Counters) (*graph.Gra
 		return nil, err
 	}
 	return b.Build(), nil
-}
-
-// BatchSource is the slice of the scan interface the degree pass needs.
-// Both *File and the parallel partitioned executor (internal/exec) satisfy
-// it, so degree collection can run on either engine.
-type BatchSource interface {
-	NumVertices() int
-	ForEachBatch(fn func([]Record) error) error
-}
-
-// LoadGraphSource loads a whole graph into memory from one scan of any
-// source — the LoadGraph path for graphs that are not a single file, such as
-// shard sets.
-func LoadGraphSource(src BatchSource) (*graph.Graph, error) {
-	b := graph.NewBuilder(src.NumVertices())
-	err := src.ForEachBatch(func(batch []Record) error {
-		for _, r := range batch {
-			for _, n := range r.Neighbors {
-				b.AddEdge(r.ID, n)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// ReadDegrees scans the file once and returns the degree of every vertex,
-// indexed by vertex ID. This is an O(|V|) in-memory structure allowed by the
-// semi-external model.
-func ReadDegrees(f BatchSource) ([]uint32, error) {
-	deg := make([]uint32, f.NumVertices())
-	err := f.ForEachBatch(func(batch []Record) error {
-		for _, r := range batch {
-			deg[r.ID] = uint32(len(r.Neighbors))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return deg, nil
 }
 
 // ReadEdgeListText parses a whitespace-separated edge list ("u v" per line;

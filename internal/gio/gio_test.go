@@ -426,28 +426,6 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-func TestReadDegrees(t *testing.T) {
-	g := randomGraph(6, 25, 60)
-	path := tmpPath(t)
-	if err := WriteGraphSorted(path, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Open(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	deg, err := ReadDegrees(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if int(deg[v]) != g.Degree(uint32(v)) {
-			t.Fatalf("vertex %d: degree %d, want %d", v, deg[v], g.Degree(uint32(v)))
-		}
-	}
-}
-
 // TestScanAfterClose pins that advancing a Scanner after File.Close (or
 // after a new Scan supersedes it) reports an error instead of blocking on
 // the shut-down prefetch pipeline.

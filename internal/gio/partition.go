@@ -64,8 +64,8 @@ func uvarintLen(x uint64) int64 {
 // cutBuilder accumulates a cutTable from the records of one full sequential
 // scan, recomputing each record's on-disk size from its decoded form. It is
 // shared by the dedicated planning side scan (buildCutTable) and the
-// opportunistic capture that rides an already-running counted scan
-// (ForEachBatchWithPlanCapture).
+// opportunistic capture that rides an already-running full scan
+// (ForEachBatchCtx).
 type cutBuilder struct {
 	compressed bool
 	off        int64  // computed absolute offset past the last observed record

@@ -88,9 +88,9 @@ func TestRawOutOfRangeNeighbor(t *testing.T) {
 		},
 		"mmap":           func() error { return open(true, false).ForEachBatch(discard) },
 		"mmap-zerocopy":  func() error { return open(true, true).ForEachBatch(discard) },
-		"exec-workers-2": func() error { return exec.New(open(false, false), 2).ForEachBatch(discard) },
+		"exec-workers-2": func() error { return exec.New(open(false, false), 2).ForEachBatchCtx(context.Background(), discard) },
 		"exec-mmap-zerocopy-workers-2": func() error {
-			return exec.New(open(true, true), 2).ForEachBatch(discard)
+			return exec.New(open(true, true), 2).ForEachBatchCtx(context.Background(), discard)
 		},
 		"shard": func() error {
 			set, err := shard.Open(shardDir, shard.Options{})
@@ -98,7 +98,7 @@ func TestRawOutOfRangeNeighbor(t *testing.T) {
 				return err
 			}
 			defer set.Close()
-			return set.Source(nil, 2).ForEachBatch(discard)
+			return set.Source(nil, 2).ForEachBatchCtx(context.Background(), discard)
 		},
 	}
 	for name, scan := range engines {

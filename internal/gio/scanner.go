@@ -76,8 +76,8 @@ type scanSlot struct {
 }
 
 // planState caches the partition-planning cut table (see Partitions).
-// Captured opportunistically during the first full counted sequential scan
-// (ForEachBatchWithPlanCapture), or built lazily by the first Partitions
+// Captured opportunistically during the first full sequential scan
+// (ForEachBatchCtx), or built lazily by the first Partitions
 // call with one side scan through a separate file handle; reused for every
 // worker count afterwards. The mutex makes the cache safe for concurrent
 // views of one file.
@@ -788,21 +788,36 @@ func (g *File) ForEachBatch(fn func([]Record) error) error {
 // ForEachBatchCtx is ForEachBatch bound to a context: a canceled or expired
 // ctx stops the scan within one batch, shuts the prefetch pipeline down, and
 // returns the ctx error wrapped in a ScanError carrying the scan position. A
-// nil ctx behaves exactly like ForEachBatch.
+// nil ctx behaves exactly like ForEachBatch. While no partition plan is
+// cached, the scan also captures one from the records flowing by (see
+// PlanCaptureViable); fn observes nothing of the capture.
 func (g *File) ForEachBatchCtx(ctx context.Context, fn func([]Record) error) error {
 	sc, err := g.ScanCtx(ctx)
 	if err != nil {
 		return err
 	}
 	defer sc.close()
+	var cb *cutBuilder
+	if g.PlanCaptureViable() {
+		cb = g.newCutBuilder()
+	}
 	for {
 		batch := sc.NextBatch()
 		if batch == nil {
 			break
 		}
+		if cb != nil {
+			cb.observe(batch)
+		}
 		if err := fn(batch); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if cb != nil {
+		g.installCapturedPlan(cb)
+	}
+	return nil
 }

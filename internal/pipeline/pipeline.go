@@ -1,11 +1,11 @@
 // Package pipeline implements the pass-graph scan scheduler: the layer
-// between the scan engines (gio's sequential engine, exec's parallel
-// partitioned executor) and the algorithms (internal/core).
+// between the scan engines (gio's sequential engine, exec's partition-merge
+// engine) and the algorithms (internal/core).
 //
 // The paper's cost model is the number of sequential scans of the adjacency
 // file, so the scheduler's job is to spend as few physical scans as the
-// declared work allows. Algorithms stop calling Source.ForEachBatch directly
-// and instead register logical passes — small structs declaring a batch
+// declared work allows. Algorithms do not call Source.ForEachBatchCtx
+// directly; they register logical passes — small structs declaring a batch
 // callback plus what they read and mutate — with a Scheduler, which fuses
 // compatible passes into one shared physical scan, invokes the fused batch
 // callbacks in declared order on every batch, and accounts the logical and
@@ -19,12 +19,6 @@
 // the swap algorithms is the canonical example). Running a Scheduler with
 // Unfused set executes every pass as its own physical scan instead; the core
 // parity tests hold both modes to bit-identical results.
-//
-// As a second economy, every physical scan the scheduler runs uses the
-// source's opportunistic partition-plan capture when the source offers one,
-// so the first full sequential scan of a file leaves the parallel executor's
-// cut table behind for free instead of requiring a dedicated planning side
-// scan.
 package pipeline
 
 import (
@@ -43,37 +37,26 @@ import (
 // exactly like a consumer abandoning a plain ForEachBatch.
 var ErrStopScan = errors.New("pipeline: stop scan")
 
-// Source is the scan engine a scheduler drives: one full sequential pass per
-// ForEachBatch call, batches delivered in scan order on the calling
-// goroutine. It is structurally identical to core.Source (both *gio.File and
-// *exec.Executor satisfy it); pipeline re-declares it to stay below core in
-// the layering.
+// Source is the scan contract every engine serves and every algorithm pass
+// reads the graph through (core.Source is this type): *gio.File, the
+// sequential engine and oracle, and *exec.Executor, the partition-merge
+// engine over one file or a shard set. Because the executor merges its
+// units back into scan order, a pass is oblivious to which one it runs on —
+// results are bit-identical by construction, which the exec and shard
+// parity tests enforce.
 type Source interface {
+	// NumVertices returns the graph's vertex count.
 	NumVertices() int
+	// Stats returns the I/O counters the engine accounts into, which may be
+	// nil.
 	Stats() *gio.Counters
-	ForEachBatch(fn func([]gio.Record) error) error
-	ForEach(fn func(gio.Record) error) error
-}
-
-// planCapturingSource is the optional capture capability (gio.File and
-// exec.Executor both have it): a scan that also leaves the partition cut
-// table behind when none is cached yet.
-type planCapturingSource interface {
-	ForEachBatchWithPlanCapture(fn func([]gio.Record) error) error
-}
-
-// ctxSource is the optional context-aware scan capability (gio.File and
-// exec.Executor both have it): the engine itself observes cancellation —
-// the sequential engine's prefetcher stops reading ahead, the executor
-// drains its worker pool — instead of relying only on the scheduler's
-// between-batch checks.
-type ctxSource interface {
+	// ForEachBatchCtx runs one full scan, invoking fn for every decoded
+	// batch of records in scan order on the calling goroutine. fn must not
+	// retain a batch. A canceled ctx stops the engine itself (the
+	// prefetcher stops reading ahead, the executor drains its workers) and
+	// returns the ctx error wrapped in a gio.ScanError carrying the scan
+	// position. ctx must not be nil.
 	ForEachBatchCtx(ctx context.Context, fn func([]gio.Record) error) error
-}
-
-// ctxPlanCapturingSource combines both capabilities.
-type ctxPlanCapturingSource interface {
-	ForEachBatchWithPlanCaptureCtx(ctx context.Context, fn func([]gio.Record) error) error
 }
 
 // Pass is one logical pass over the adjacency file: a batch callback plus
@@ -195,11 +178,10 @@ type Options struct {
 
 	// Ctx cancels scheduler runs: it is checked between physical scans and
 	// between batches within a scan, and handed to the scan engine itself
-	// when the source is context-aware (so the prefetcher and the parallel
-	// executor's workers stop too). A run aborted mid-scan returns the ctx
-	// error wrapped in a gio.ScanError carrying the scan position; an
-	// aborted scan is not counted in Stats, exactly like a consumer
-	// abandoning a plain ForEachBatch. A nil Ctx never cancels.
+	// (so the prefetcher and the executor's workers stop too). A run aborted
+	// mid-scan returns the ctx error wrapped in a gio.ScanError carrying the
+	// scan position; an aborted scan is not counted in Stats, exactly like a
+	// consumer abandoning a plain scan. A nil Ctx never cancels.
 	Ctx context.Context
 
 	// Progress, when non-nil, observes every physical scan the scheduler
@@ -218,6 +200,9 @@ type Scheduler struct {
 
 // New returns an empty scheduler over src.
 func New(src Source, opts Options) *Scheduler {
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
 	return &Scheduler{src: src, opts: opts}
 }
 
@@ -291,10 +276,8 @@ func joinable(group []Pass, p Pass) bool {
 // Done ran.
 func (s *Scheduler) Run() error {
 	for _, group := range s.Plan() {
-		if ctx := s.opts.Ctx; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := s.opts.Ctx.Err(); err != nil {
+			return err
 		}
 		if err := s.runGroup(group); err != nil {
 			return err
@@ -313,10 +296,8 @@ func (s *Scheduler) runGroup(group []Pass) error {
 	total := uint64(s.src.NumVertices())
 	var delivered uint64
 	fn := func(batch []gio.Record) error {
-		if ctx := s.opts.Ctx; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return &gio.ScanError{Records: delivered, Total: total, Err: err}
-			}
+		if err := s.opts.Ctx.Err(); err != nil {
+			return &gio.ScanError{Records: delivered, Total: total, Err: err}
 		}
 		for i := range group {
 			if stopped[i] {
@@ -339,7 +320,7 @@ func (s *Scheduler) runGroup(group []Pass) error {
 		}
 		return nil
 	}
-	err := s.scan(fn)
+	err := s.src.ForEachBatchCtx(s.opts.Ctx, fn)
 	if err != nil && err != ErrStopScan {
 		return err
 	}
@@ -395,24 +376,4 @@ func ResolveCarried(src Source) {
 		st.AddScans(1)
 		st.AddCarriedScans(1)
 	}
-}
-
-// scan runs one physical scan, preferring the source's plan-capturing
-// variant so the first full scan of a file doubles as its partition-planning
-// scan, and the context-aware variants when the run has a context — the
-// engine then observes cancellation itself (prefetcher, worker pool), not
-// just the scheduler's between-batch checks.
-func (s *Scheduler) scan(fn func([]gio.Record) error) error {
-	if ctx := s.opts.Ctx; ctx != nil {
-		if c, ok := s.src.(ctxPlanCapturingSource); ok {
-			return c.ForEachBatchWithPlanCaptureCtx(ctx, fn)
-		}
-		if c, ok := s.src.(ctxSource); ok {
-			return c.ForEachBatchCtx(ctx, fn)
-		}
-	}
-	if c, ok := s.src.(planCapturingSource); ok {
-		return c.ForEachBatchWithPlanCapture(fn)
-	}
-	return s.src.ForEachBatch(fn)
 }

@@ -193,7 +193,7 @@ func TestZeroPlanningScans(t *testing.T) {
 		}
 	}
 	var stats gio.Counters
-	if err := set.Source(&stats, 4).ForEachBatch(func([]gio.Record) error { return nil }); err != nil {
+	if err := set.Source(&stats, 4).ForEachBatchCtx(context.Background(), func([]gio.Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()
@@ -232,7 +232,7 @@ func TestSourceStatsWorkerInvariance(t *testing.T) {
 	var want gio.Stats
 	for i, workers := range []int{1, 2, 4, 7} {
 		var stats gio.Counters
-		if err := set.Source(&stats, workers).ForEachBatch(func([]gio.Record) error { return nil }); err != nil {
+		if err := set.Source(&stats, workers).ForEachBatchCtx(context.Background(), func([]gio.Record) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		snap := stats.Snapshot()

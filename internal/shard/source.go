@@ -1,328 +1,53 @@
 package shard
 
 import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"repro/internal/exec"
 	"repro/internal/gio"
 )
 
-const (
-	// partitionsPerWorker oversplits the work list relative to the worker
-	// count, exactly like the single-file executor: workers claim units
-	// dynamically, so one skewed unit cannot serialize the scan's tail.
-	partitionsPerWorker = 2
-	// unitChanDepth bounds decoded-but-unconsumed batches per unit.
-	unitChanDepth = 4
-)
-
-// Source is one logical scan engine over a Set: it satisfies core.Source
-// (and the scheduler's optional ctx capability) by driving per-shard workers
-// and merging their batches back into the merged graph's exact scan order on
+// Source returns the merged scan engine over the set: an exec.Executor over
+// the shard files that merges their batches back into the merged graph's
+// exact scan order on the calling goroutine, accounting into stats (which may
+// be nil). workers ≤ 0 selects GOMAXPROCS; 1 decodes shards sequentially on
 // the calling goroutine. Construct one Source per concurrent run (they are
-// cheap); a Source itself must not be used concurrently, mirroring
-// exec.Executor.
+// cheap); an executor itself must not be used concurrently.
 //
-// The Source deliberately does not implement the plan-capture capability:
-// its partitions come from metadata persisted at write time (footers and the
-// manifest), so there is never a plan to capture — a cold open performs zero
+// The engine never captures a plan: its units come from metadata persisted
+// at write time (footers and the manifest), so a cold open performs zero
 // planning scans by construction.
-type Source struct {
-	set     *Set
-	stats   *gio.Counters
-	workers int
+func (s *Set) Source(stats *gio.Counters, workers int) *exec.Executor {
+	return exec.NewMerged(s.files, s.NumVertices(), stats, workers, s.units)
 }
 
-// Source returns a scan source over the set accounting into stats (which
-// may be nil). workers ≤ 0 selects GOMAXPROCS; 1 decodes shards sequentially
-// on the calling goroutine.
-func (s *Set) Source(stats *gio.Counters, workers int) *Source {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Source{set: s, stats: stats, workers: workers}
-}
-
-// NumVertices returns the merged graph's vertex count.
-func (src *Source) NumVertices() int { return src.set.NumVertices() }
-
-// Stats returns the counters the source accounts into, which may be nil.
-func (src *Source) Stats() *gio.Counters { return src.stats }
-
-// Workers returns the configured degree of parallelism.
-func (src *Source) Workers() int { return src.workers }
-
-// ForEach runs one full merged scan, invoking fn for every record in scan
-// order.
-func (src *Source) ForEach(fn func(gio.Record) error) error {
-	return src.ForEachBatch(func(batch []gio.Record) error {
-		for i := range batch {
-			if err := fn(batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ForEachBatch runs one full merged scan, invoking fn for every decoded
-// batch in scan order on the calling goroutine. Batch boundaries may differ
-// from a single merged file's — no pass may depend on them.
-func (src *Source) ForEachBatch(fn func([]gio.Record) error) error {
-	return src.ForEachBatchCtx(nil, fn)
-}
-
-// unit is one work item: a record-aligned partition of one shard file.
-// Partition record indices are local to the shard file; unit order (by
-// shard, then by offset) is the merged scan order.
-type unit struct {
-	shard int
-	p     gio.Partition
-}
-
-// units builds the run's work list from persisted metadata only. Shards with
-// a loaded partition plan (footered files) split into byte-proportional
-// record-aligned partitions; shards without one become a single unit whose
-// bounds come from the manifest — either way, no planning scan runs.
-func (src *Source) units() []unit {
-	files, man := src.set.files, src.set.man
-	var out []unit
-	target := src.workers * partitionsPerWorker
-	total := man.TotalBytes()
-	for i, f := range files {
-		e := man.Shards[i]
-		if src.workers > 1 && f.HasPartitionPlan() {
+// units builds a run's work list from persisted metadata only: unit order
+// (by shard, then by offset) is the merged scan order. Shards with a loaded
+// partition plan (footered files) split into byte-proportional record-aligned
+// partitions; shards without one become a single unit whose bounds come from
+// the manifest — either way, no planning scan runs.
+func (s *Set) units(workers int) []exec.Unit {
+	var out []exec.Unit
+	target := workers * exec.PartitionsPerWorker
+	total := s.man.TotalBytes()
+	for i, f := range s.files {
+		e := s.man.Shards[i]
+		if workers > 1 && f.HasPartitionPlan() {
 			parts := 1
 			if total > 0 {
 				parts = int((int64(target)*e.Bytes + total/2) / total)
 			}
-			if parts < 1 {
-				parts = 1
-			}
-			if ps, err := f.Partitions(parts); err == nil && len(ps) > 0 {
+			if ps, err := f.Partitions(max(parts, 1)); err == nil && len(ps) > 0 {
 				for _, p := range ps {
-					out = append(out, unit{shard: i, p: p})
+					out = append(out, exec.Unit{File: i, Part: p})
 				}
 				continue
 			}
 		}
-		end := f.PayloadEnd()
-		out = append(out, unit{shard: i, p: gio.Partition{
+		out = append(out, exec.Unit{File: i, Part: gio.Partition{
 			StartRecord: 0,
 			Records:     e.Records,
 			StartOffset: gio.HeaderSize,
-			EndOffset:   end,
+			EndOffset:   f.PayloadEnd(),
 		}})
 	}
 	return out
-}
-
-// ForEachBatchCtx is ForEachBatch bound to a context: cancellation stops the
-// merge within one batch, drains every worker, and returns the ctx error
-// wrapped in a gio.ScanError carrying the merged scan position.
-func (src *Source) ForEachBatchCtx(ctx context.Context, fn func([]gio.Record) error) error {
-	units := src.units()
-	consumedEnd := make([]int64, len(src.set.files))
-	var err error
-	if src.workers <= 1 || len(units) < 2 {
-		err = src.runSequential(ctx, units, consumedEnd, fn)
-	} else {
-		err = src.runParallel(ctx, units, consumedEnd, fn)
-	}
-	src.account(consumedEnd, err == nil)
-	return err
-}
-
-// runSequential drives each unit's detached scanner inline, in unit order.
-func (src *Source) runSequential(ctx context.Context, units []unit, consumedEnd []int64, fn func([]gio.Record) error) error {
-	total := uint64(src.set.NumVertices())
-	var delivered uint64
-	for _, u := range units {
-		sc := src.set.files[u.shard].ScanPartition(u.p)
-		for {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					sc.Close()
-					return &gio.ScanError{Records: delivered, Total: total, Err: err}
-				}
-			}
-			batch := sc.NextBatch()
-			if batch == nil {
-				break
-			}
-			if src.stats != nil {
-				src.stats.AddRecordsRead(uint64(len(batch)))
-			}
-			if err := fn(batch); err != nil {
-				sc.Close()
-				return err
-			}
-			delivered += uint64(len(batch))
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		consumedEnd[u.shard] = u.p.EndOffset
-	}
-	return nil
-}
-
-// batchMsg carries one decoded batch (or a unit's terminal status) from a
-// worker to the consumer; recs and arena transfer ownership with it.
-type batchMsg struct {
-	recs  []gio.Record
-	arena []uint32
-	err   error
-	last  bool
-}
-
-type batchBufs struct {
-	recs  []gio.Record
-	arena []uint32
-}
-
-// runParallel fans units out across a worker pool and merges their batches
-// back in unit order — the single-file executor's design, one level up.
-func (src *Source) runParallel(ctx context.Context, units []unit, consumedEnd []int64, fn func([]gio.Record) error) error {
-	// Pin every mapped shard for the whole run: zero-copy batches alias the
-	// mappings while they sit in the unit channels, after their worker's
-	// scanner already closed. A concurrent Set.Close then still returns
-	// immediately; the munmaps are deferred past the last in-flight batch.
-	for _, f := range src.set.files {
-		if release, ok := f.PinMap(); ok {
-			defer release()
-		}
-	}
-	nw := src.workers
-	if nw > len(units) {
-		nw = len(units)
-	}
-	chans := make([]chan batchMsg, len(units))
-	for i := range chans {
-		chans[i] = make(chan batchMsg, unitChanDepth)
-	}
-	quit := make(chan struct{})
-	pool := &sync.Pool{New: func() any { return &batchBufs{} }}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				if !src.scanUnit(units[i], chans[i], quit, pool) {
-					return
-				}
-			}
-		}()
-	}
-
-	// Consume units in order; within a unit, batches arrive in order. The
-	// merged invocation sequence is the merged graph's sequential scan
-	// order, and the earliest error in that order wins.
-	total := uint64(src.set.NumVertices())
-	var delivered uint64
-	var runErr error
-consume:
-	for i := range chans {
-		for {
-			msg := <-chans[i]
-			if msg.last {
-				if msg.err != nil {
-					runErr = msg.err
-					break consume
-				}
-				consumedEnd[units[i].shard] = units[i].p.EndOffset
-				break
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					runErr = &gio.ScanError{Records: delivered, Total: total, Err: err}
-					break consume
-				}
-			}
-			if src.stats != nil {
-				src.stats.AddRecordsRead(uint64(len(msg.recs)))
-			}
-			if err := fn(msg.recs); err != nil {
-				runErr = err
-				break consume
-			}
-			delivered += uint64(len(msg.recs))
-			pool.Put(&batchBufs{recs: msg.recs, arena: msg.arena})
-		}
-	}
-	close(quit)
-	wg.Wait()
-	return runErr
-}
-
-// scanUnit decodes one unit, shipping each batch to ch, then a terminal
-// message with the unit's scan error. Reports false when the run was
-// cancelled.
-func (src *Source) scanUnit(u unit, ch chan<- batchMsg, quit <-chan struct{}, pool *sync.Pool) bool {
-	sc := src.set.files[u.shard].ScanPartition(u.p)
-	defer sc.Close()
-	for {
-		batch := sc.NextBatch()
-		if batch == nil {
-			break
-		}
-		bufs := pool.Get().(*batchBufs)
-		recs, arena := sc.SwapBuffers(bufs.recs, bufs.arena)
-		select {
-		case ch <- batchMsg{recs: recs, arena: arena}:
-		case <-quit:
-			return false
-		}
-	}
-	select {
-	case ch <- batchMsg{err: sc.Err(), last: true}:
-		return true
-	case <-quit:
-		return false
-	}
-}
-
-// account adds the run's block and byte counters — what a sequential scan of
-// each covered shard would have counted: ceil(covered/B) blocks per shard,
-// every block full-sized except a final one clipped at the shard's end of
-// file — plus, on a completed run, exactly one logical and one physical scan
-// for the whole merged pass. The formula is shared by the sequential and
-// parallel paths, so a run's Stats are identical at every worker count; on
-// an aborted run the fully consumed unit prefix is the same deterministic
-// lower bound the single-file executor reports.
-func (src *Source) account(consumedEnd []int64, completed bool) {
-	if src.stats == nil {
-		return
-	}
-	b := int64(src.set.blockSize)
-	for i, f := range src.set.files {
-		end := consumedEnd[i]
-		if completed {
-			end = f.PayloadEnd()
-		}
-		covered := end - gio.HeaderSize
-		if covered <= 0 {
-			continue
-		}
-		blocks := (covered + b - 1) / b
-		bytes := blocks * b
-		if size, err := f.SizeBytes(); err == nil && bytes > size-gio.HeaderSize {
-			bytes = size - gio.HeaderSize
-		}
-		src.stats.AddBlocksRead(uint64(blocks))
-		src.stats.AddBytesRead(uint64(bytes))
-	}
-	if completed {
-		src.stats.AddScans(1)
-		src.stats.AddPhysicalScans(1)
-	}
 }

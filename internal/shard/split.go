@@ -268,7 +268,7 @@ func syncFile(path string) error {
 func StreamDigest(src core.Source) (string, error) {
 	h := sha256.New()
 	var buf []byte
-	err := src.ForEachBatch(func(batch []gio.Record) error {
+	err := src.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 		for i := range batch {
 			r := &batch[i]
 			buf = buf[:0]
