@@ -70,6 +70,16 @@ func (s *Stats) String() string {
 		s.BlocksRead, s.BlocksWritten)
 }
 
+// ModelBlocks is the paper's I/O cost of one scan, ⌈(|V|+|E|)/B⌉ blocks,
+// with |V|+|E| counted in the raw format's 8-byte units: a raw record is an
+// ID and a degree word plus one word per directed edge, so a raw file holds
+// 8·(|V|+|E|) payload bytes and one full scan of it reads exactly this many
+// blocks of blockSize bytes.
+func ModelBlocks(vertices int, edges uint64, blockSize int) uint64 {
+	bytes := 8 * (uint64(vertices) + edges)
+	return (bytes + uint64(blockSize) - 1) / uint64(blockSize)
+}
+
 // Counters is the concurrency-safe accumulator behind Stats. Every reader
 // and writer that shares a Counters adds with atomic operations, so
 // concurrent runs — several solvers scanning one file at once — can account
