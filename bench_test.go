@@ -3,7 +3,7 @@ package mis_test
 // One testing.B benchmark per table and figure of the paper's evaluation.
 // Each bench drives the same runner as `misbench -run <id>`, at reduced
 // workload sizes so the suite completes quickly; `cmd/misbench` regenerates
-// the full-size artifacts (see EXPERIMENTS.md for the recorded comparison).
+// the full-size artifacts.
 
 import (
 	"io"

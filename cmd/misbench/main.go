@@ -1,6 +1,5 @@
 // Command misbench regenerates the paper's experimental tables and figures
-// on synthetic stand-in workloads (see DESIGN.md §4 and §5), plus this
-// reproduction's own ablations.
+// on synthetic stand-in workloads, plus this reproduction's own ablations.
 //
 // Usage:
 //

@@ -1,12 +1,11 @@
 // Package bench contains one runner per table and figure of the paper's
 // evaluation (Section 7). Each runner generates its workload, executes the
 // algorithms, and prints rows shaped like the paper's artifact so the two
-// can be compared side by side (EXPERIMENTS.md records that comparison).
+// can be compared side by side.
 //
 // Real datasets are replaced by synthetic power-law stand-ins with the same
-// name, power-law shape and average degree, scaled to laptop size — the
-// substitution table in DESIGN.md §4 explains why shape, not scale, is what
-// the algorithms respond to.
+// name, power-law shape and average degree, scaled to laptop size: shape,
+// not scale, is what the algorithms respond to.
 package bench
 
 import (

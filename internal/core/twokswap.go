@@ -83,7 +83,7 @@ func pairKey(w1, w2 uint32) uint64 {
 // The swap scan validates each promotion against the vertex's in-hand
 // adjacency list and rolls back a whole skeleton group if two passengers
 // from different groups turn out to be adjacent — an edge no SC pair ever
-// examined. See DESIGN.md §3.3 for why rollback is confined to one group.
+// examined.
 func TwoKSwap(f Source, initial []bool, opts SwapOptions) (*Result, error) {
 	return TwoKSwapCtx(context.Background(), f, initial, opts, Hooks{})
 }

@@ -16,9 +16,7 @@ import "math"
 // an already-selected vertex — but evaluates the selection probability
 // directly rather than through the paper's printed closed form, which (as
 // transcribed) grows with x and exceeds the Algorithm 5 upper bound at
-// every β we checked. EXPERIMENTS.md records the validation: this estimate
-// tracks measured Greedy sizes within ~1–3% from below, matching the
-// accuracy profile the paper reports in Table 9.
+// every β we checked.
 //
 // Model: when the x-th degree-i vertex is scanned, the endpoints already
 // absorbed into the set have mass Σ_{s<i} s·GR_s + i·x·r_i out of the total

@@ -215,8 +215,7 @@ func atLeastTwoPr(mBalls, n, d float64) float64 {
 // degree pair (x, y), which counts the same IS vertex once per pair and
 // diverges as soon as the A masses saturate the per-pair probability; we
 // aggregate the partner mass per target degree instead, which keeps the
-// estimate bounded by GR_i per degree and matches the measured swap gains
-// (EXPERIMENTS.md).
+// estimate bounded by GR_i per degree and matches the measured swap gains.
 func SwapGain(p Params) float64 {
 	m := newSwapModel(p)
 	var sg float64
