@@ -62,7 +62,7 @@ func GreedyScheduled(f Source, sopts pipeline.Options) (*Result, error) {
 		return nil, fmt.Errorf("core: greedy: %w", err)
 	}
 
-	res := newResult(n)
+	res := &Result{}
 	res.collectIS(states)
 	res.Degrees = deg
 	res.MemoryBytes = states.MemoryBytes()

@@ -150,7 +150,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	}
 	opts.tracePhase(0, "setup", states)
 
-	res := newResult(n)
+	res := &Result{}
 	sw := newSweeper(f, states, rn.sopts(opts.Unfused))
 	stall := 0
 	for round := 0; round < opts.MaxRounds; round++ {

@@ -100,7 +100,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 		carried = !r.residual.Overflowed()
 	}
 
-	res := newResult(n)
+	res := &Result{}
 	res.collectIS(r.states)
 	res.Rounds = rounds
 	res.MemoryBytes = r.states.MemoryBytes() + r.residual.MemoryPeak()

@@ -85,8 +85,11 @@ func newResult(n int) *Result {
 	return &Result{InSet: make([]bool, n)}
 }
 
-// collectIS copies the IS members of a state array into the result.
+// collectIS sets the result's membership to the IS members of a state
+// array. The swap algorithms call it after their rounds, so InSet is not
+// part of their peak footprint.
 func (r *Result) collectIS(states semiext.States) {
+	r.InSet = make([]bool, states.Len())
 	for v := 0; v < states.Len(); v++ {
 		if states.Get(uint32(v)) == semiext.StateIS {
 			r.InSet[v] = true

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/gio"
 	"repro/internal/pipeline"
@@ -19,8 +21,18 @@ const twoKProduct = "two-k-states"
 type twoKState struct {
 	states semiext.States
 	isn    *semiext.ISN
-	deg    []uint32
-	sc     *semiext.SCStore
+
+	// index holds the round's swap-candidate storage: the SC pairs and the
+	// partner lists of scanned A vertices whose ISN is exactly {w1, w2} or
+	// {w}. Entries are validated lazily against current state and ISN
+	// before use. The SC pairs and the two-vertex partner lists count
+	// toward the SC high-water mark (Figure 10 measures the whole store).
+	index       *semiext.CandidateIndex
+	pairAppends int // the round's partner appends under two-vertex keys
+	scPeak      int
+
+	// adj answers adjacency queries against the record in hand.
+	adj adjacency
 
 	// carry holds the cross-round collection (A vertices with adjacency,
 	// plus the scan-position table): round r's setup/post-swap scan
@@ -28,39 +40,14 @@ type twoKState struct {
 	// Nil under an Unfused schedule.
 	carry *carryCollector
 
-	// seenPair[key(w1,w2)] lists scanned A vertices whose ISN is exactly
-	// {w1, w2}; seenOne[w] lists those whose ISN is exactly {w}. Entries are
-	// validated lazily against current state and ISN before use. They are
-	// part of the swap-candidate storage, so their population counts toward
-	// the SC high-water mark (Figure 10 measures the whole store).
-	seenPair  map[uint64][]uint32
-	seenOne   map[uint32][]uint32
-	seenCount int
-	scPeak    int
-
-	// Swap groups: each fired skeleton registers its leaving IS vertices
-	// and entering members so the swap-phase scan can validate the group
-	// and roll it back atomically on a passenger collision.
-	groups   []swapGroup
-	groupOf  []int32 // primary group of a P/R vertex, -1 when none
-	groupOf2 []int32 // secondary group (a joiner whose two ISN left in different groups)
+	// groups registers each fired skeleton's leaving IS vertices and
+	// entering members, so the swap-phase scan can validate the group and
+	// roll it back atomically on a passenger collision.
+	groups swapGroups
 
 	// canSwap is set by the swap pass when any R vertex actually left the
 	// set this round.
 	canSwap bool
-}
-
-type swapGroup struct {
-	ws        []uint32 // IS vertices leaving (state R)
-	confirmed []uint32 // members already promoted to I this swap phase
-	failed    bool
-}
-
-func pairKey(w1, w2 uint32) uint64 {
-	if w1 > w2 {
-		w1, w2 = w2, w1
-	}
-	return uint64(w1)<<32 | uint64(w2)
 }
 
 // TwoKSwap runs Algorithms 3 and 4: starting from the independent set
@@ -73,12 +60,16 @@ func pairKey(w1, w2 uint32) uint64 {
 // of scan), so the next round's pre-swap and swap-validation work rides
 // them as a cross-round collection (pipeline.Pass.Consumes) and replays
 // from memory, dropping a steady-state round from three physical scans to
-// one. The setup pass additionally fuses with a read-only
-// degree-collection rider, and on the final round — recognizable before
-// its post-swap scan because the swap pass runs first — the maximality
-// sweep rides the post-swap scan as a fused deferred pass. Carry-buffer
-// overflow, a stall exit, and Unfused schedules fall back to the classic
-// dedicated scans.
+// one. On the final round — recognizable before its post-swap scan
+// because the swap pass runs first — the maximality sweep rides the
+// post-swap scan as a fused deferred pass. Carry-buffer overflow, a stall
+// exit, and Unfused schedules fall back to the classic dedicated scans.
+//
+// Besides the state and ISN arrays and the carry, a round keeps only
+// structures sized to its own work: the candidate index holds the round's
+// partner lists and SC pairs, and the swap groups hold its P and R
+// vertices. Both are emptied each round and keep their allocations, and
+// Result.MemoryBytes counts every byte they allocated.
 //
 // The swap scan validates each promotion against the vertex's in-hand
 // adjacency list and rolls back a whole skeleton group if two passengers
@@ -102,14 +93,9 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	snap := snapshot(f.Stats())
 
 	st := &twoKState{
-		states:   semiext.NewStates(n),
-		isn:      semiext.NewISN(n, true),
-		deg:      make([]uint32, n),
-		sc:       semiext.NewSCStore(),
-		seenPair: make(map[uint64][]uint32),
-		seenOne:  make(map[uint32][]uint32),
-		groupOf:  make([]int32, n),
-		groupOf2: make([]int32, n),
+		states: semiext.NewStates(n),
+		isn:    semiext.NewISN(n, true),
+		index:  semiext.NewCandidateIndex(),
 	}
 	if !opts.Unfused {
 		st.carry = newCarryCollector(st.states, true)
@@ -125,20 +111,9 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	}
 
 	// Setup scan (Algorithm 3 lines 1–3): A vertices with one or two IS
-	// neighbors, fused with the read-only collection of the degree array
-	// that caps SC bucket sizes.
+	// neighbors. Round 1's pre-swap collection rides it.
 	setup := opts.scheduler(f, rn)
 	setup.Add(setupPass(st.states, st.isn, true))
-	setup.Add(pipeline.Pass{
-		Name:     "two-k-collect-degrees",
-		ReadOnly: true, // writes only the degree array no co-scheduled pass reads
-		Batch: func(batch []gio.Record) error {
-			for i := range batch {
-				st.deg[batch[i].ID] = uint32(len(batch[i].Neighbors))
-			}
-			return nil
-		},
-	})
 	if st.carry != nil {
 		setup.Add(st.carry.pass("two-k-pre-swap-carry", twoKProduct))
 	}
@@ -147,7 +122,7 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	}
 	opts.tracePhase(0, "setup", st.states)
 
-	res := newResult(n)
+	res := &Result{}
 	sw := newSweeper(f, st.states, rn.sopts(opts.Unfused))
 	stall := 0
 	for round := 0; round < opts.MaxRounds; round++ {
@@ -194,7 +169,7 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	res.collectIS(st.states)
 	res.SCHighWater = st.scPeak
 	res.MemoryBytes = st.states.MemoryBytes() + st.isn.MemoryBytes() +
-		st.sc.MemoryBytes() + uint64(n)*4 /* deg */ + uint64(n)*8 /* groups */ +
+		st.index.MemoryBytes() + st.groups.memoryBytes() + st.adj.memoryBytes() +
 		sw.buf.MemoryPeak()
 	if st.carry != nil {
 		res.MemoryBytes += st.carry.memoryBytes()
@@ -213,15 +188,9 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 // scan is recognized, and in either case the maximality sweep fuses into it
 // — a non-final post-swap scan instead carries the next round's collection.
 func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastByBudget bool, sw *sweeper) (bool, error) {
-	st.groups = st.groups[:0]
-	for i := range st.groupOf {
-		st.groupOf[i] = -1
-		st.groupOf2[i] = -1
-	}
-	st.sc.Reset()
-	clear(st.seenPair)
-	clear(st.seenOne)
-	st.seenCount = 0
+	st.groups.reset()
+	st.index.Reset()
+	st.pairAppends = 0
 
 	if st.carry != nil && st.carry.ready() {
 		// Replay both carried passes against the completed product of the
@@ -233,10 +202,7 @@ func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastBy
 			return false, fmt.Errorf("core: two-k-swap: pre-swap (carried): %w", err)
 		}
 		pipeline.ResolveCarried(f)
-		nbrSet := make(map[uint32]struct{})
-		st.carry.forEach(func(u uint32, neighbors []uint32) {
-			st.preSwapRecord(u, neighbors, nbrSet)
-		})
+		st.carry.forEach(st.preSwapRecord)
 		opts.tracePhase(round, "pre-swap", st.states)
 
 		if err := rn.err(); err != nil {
@@ -281,13 +247,12 @@ func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastBy
 // preSwapPass builds Algorithm 4 — run for every A vertex in scan order —
 // as a logical pass, the classic dedicated-scan form of preSwapRecord.
 func (st *twoKState) preSwapPass() pipeline.Pass {
-	nbrSet := make(map[uint32]struct{})
 	return pipeline.Pass{
 		Name:          "two-k-pre-swap",
 		MutatesStates: true,
 		Batch: func(batch []gio.Record) error {
 			for i := range batch {
-				st.preSwapRecord(batch[i].ID, batch[i].Neighbors, nbrSet)
+				st.preSwapRecord(batch[i].ID, batch[i].Neighbors)
 			}
 			return nil
 		},
@@ -297,9 +262,8 @@ func (st *twoKState) preSwapPass() pipeline.Pass {
 // preSwapRecord runs Algorithm 4 for one record. It is shared between the
 // classic dedicated pre-swap scan and the cross-round replay, which both
 // invoke it for every A vertex in scan order against the same completed
-// post-swap state, making the two paths bit-identical. nbrSet is scratch
-// storage reused across records.
-func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32, nbrSet map[uint32]struct{}) {
+// post-swap state, making the two paths bit-identical.
+func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32) {
 	if st.states.Get(u) != semiext.StateAdjacent {
 		return
 	}
@@ -318,14 +282,11 @@ func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32, nbrSet map[uint
 		s1, s2 := st.states.Get(w1), st.states.Get(w2)
 		switch {
 		case s1 == semiext.StateIS && s2 == semiext.StateIS:
-			clear(nbrSet)
-			for _, nb := range neighbors {
-				nbrSet[nb] = struct{}{}
-			}
-			if st.fireSkeleton(u, w1, w2, neighbors, nbrSet) {
+			st.adj.load(neighbors)
+			if st.fireSkeleton(u, w1, w2, neighbors) {
 				return
 			}
-			st.addCandidatePair(u, w1, w2, nbrSet)
+			st.addCandidatePair(u, w1, w2)
 		case s1 == semiext.StateRetrograde && s2 == semiext.StateRetrograde:
 			// Algorithm 4 lines 11–12 generalized: all of u's IS
 			// neighbors are leaving, so u joins. It may straddle two
@@ -342,15 +303,15 @@ func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32, nbrSet map[uint
 			if hasOneTwoWitness(st.states, st.isn, w1, neighbors) {
 				st.promote(u, neighbors)
 				st.states.Set(w1, semiext.StateRetrograde)
-				gi := st.newGroup(w1)
-				st.groupOf[w1] = gi
-				st.groupOf[u] = gi
+				gi := st.groups.add(w1, semiext.NoVertex)
+				st.groups.assign(w1, gi)
+				st.groups.assign(u, gi)
 			} else {
 				// Singleton-ISN vertices feed the partner index but are
 				// not SC-set members (Definition 2 requires a two-IS
 				// neighborhood), so they do not count toward the SC
 				// high-water mark.
-				st.seenOne[w1] = append(st.seenOne[w1], u)
+				st.index.AddPartner(w1, semiext.NoVertex, u)
 			}
 		case semiext.StateRetrograde:
 			// Join an already-fired swap (lines 11–12).
@@ -363,9 +324,9 @@ func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32, nbrSet map[uint
 // fireSkeleton looks for a 2-3 swap skeleton (a, b, u, w1, w2) using the SC
 // pairs recorded for {w1, w2} (Algorithm 4 lines 5–8). The pair's internal
 // non-adjacency was verified when it was added; adjacency to u is checked
-// against u's in-hand neighbor set. Returns true when a skeleton fired.
-func (st *twoKState) fireSkeleton(u, w1, w2 uint32, neighbors []uint32, nbrSet map[uint32]struct{}) bool {
-	for _, p := range st.sc.Pairs(w1, w2) {
+// against u's in-hand neighbor list. Returns true when a skeleton fired.
+func (st *twoKState) fireSkeleton(u, w1, w2 uint32, neighbors []uint32) bool {
+	for p := range st.index.Pairs(w1, w2) {
 		if p.U == u || p.V == u {
 			// u itself was recorded as an earlier vertex's partner; firing
 			// with it would be a size-neutral 2↔2 exchange, not a gain.
@@ -374,27 +335,23 @@ func (st *twoKState) fireSkeleton(u, w1, w2 uint32, neighbors []uint32, nbrSet m
 		if !st.validCandidate(p.U, w1, w2) || !st.validCandidate(p.V, w1, w2) {
 			continue
 		}
-		if _, adj := nbrSet[p.U]; adj {
-			continue
-		}
-		if _, adj := nbrSet[p.V]; adj {
+		if st.adj.has(p.U) || st.adj.has(p.V) {
 			continue
 		}
 		// Fire: u drives, p.U and p.V are passengers.
-		gi := st.newGroup(w1, w2)
+		gi := st.groups.add(w1, w2)
 		st.states.Set(w1, semiext.StateRetrograde)
 		st.states.Set(w2, semiext.StateRetrograde)
-		st.groupOf[w1] = gi
-		st.groupOf[w2] = gi
+		st.groups.assign(w1, gi)
+		st.groups.assign(w2, gi)
 		st.promote(u, neighbors)
-		st.groupOf[u] = gi
+		st.groups.assign(u, gi)
 		for _, m := range [2]uint32{p.U, p.V} {
 			st.states.Set(m, semiext.StateProtected)
 			st.isn.Clear(m)
-			st.groupOf[m] = gi
+			st.groups.assign(m, gi)
 		}
-		st.sc.Free(w1, w2)
-		delete(st.seenPair, pairKey(w1, w2))
+		st.index.Free(w1, w2)
 		return true
 	}
 	return false
@@ -418,44 +375,37 @@ func (st *twoKState) validCandidate(v, w1, w2 uint32) bool {
 
 // addCandidatePair records (u, v) into SC(w1, w2) for the first eligible
 // previously-scanned partner v (Algorithm 4 lines 1–2), and remembers u for
-// future partners. Bucket size is capped at deg(w1)+deg(w2), the bound from
-// Lemma 6's analysis.
-func (st *twoKState) addCandidatePair(u, w1, w2 uint32, nbrSet map[uint32]struct{}) {
-	key := pairKey(w1, w2)
-	if capacity := int(st.deg[w1] + st.deg[w2]); len(st.sc.Pairs(w1, w2))*2 < capacity {
-		if v, ok := st.findPartner(u, w1, w2, nbrSet); ok {
-			st.sc.Add(w1, w2, u, v)
-		}
+// future partners.
+//
+// Lemma 6's analysis caps a bucket at deg(w1)+deg(w2) vertices, but on a
+// symmetric adjacency file the cap can never bind, so it is not checked:
+// each pair in SC(w1, w2) was added by a distinct earlier-scanned vertex of
+// N(w1) ∩ N(w2) other than u, so 2·|SC(w1, w2)| ≤ 2·(min(deg w1, deg w2) − 1),
+// which is below deg(w1)+deg(w2). Every writer in this module emits both
+// directions of each edge; only a hand-made asymmetric file could differ.
+func (st *twoKState) addCandidatePair(u, w1, w2 uint32) {
+	if v, ok := st.findPartner(u, w1, w2); ok {
+		st.index.AddPair(w1, w2, u, v)
 	}
-	st.seenPair[key] = append(st.seenPair[key], u)
-	st.seenCount++
-	if cur := st.sc.Size() + st.seenCount; cur > st.scPeak {
+	st.index.AddPartner(w1, w2, u)
+	st.pairAppends++
+	if cur := st.index.Size() + st.pairAppends; cur > st.scPeak {
 		st.scPeak = cur
 	}
 }
 
 // findPartner returns a previously-scanned A vertex v with ISN ⊆ {w1, w2}
-// that is not adjacent to u.
-func (st *twoKState) findPartner(u, w1, w2 uint32, nbrSet map[uint32]struct{}) (uint32, bool) {
-	try := func(list []uint32) (uint32, bool) {
-		for _, v := range list {
-			if v == u || !st.validCandidate(v, w1, w2) {
-				continue
+// that is not adjacent to u: the partners of {w1, w2} first, then those of
+// {w1} and of {w2}, each in scan order.
+func (st *twoKState) findPartner(u, w1, w2 uint32) (uint32, bool) {
+	for _, key := range [3][2]uint32{{w1, w2}, {w1, semiext.NoVertex}, {w2, semiext.NoVertex}} {
+		for v := range st.index.Partners(key[0], key[1]) {
+			if v != u && st.validCandidate(v, w1, w2) && !st.adj.has(v) {
+				return v, true
 			}
-			if _, adj := nbrSet[v]; adj {
-				continue
-			}
-			return v, true
 		}
-		return 0, false
 	}
-	if v, ok := try(st.seenPair[pairKey(w1, w2)]); ok {
-		return v, true
-	}
-	if v, ok := try(st.seenOne[w1]); ok {
-		return v, true
-	}
-	return try(st.seenOne[w2])
+	return 0, false
 }
 
 // promote marks u as P and eagerly demotes its A neighbors to C: u's
@@ -475,25 +425,16 @@ func (st *twoKState) promote(u uint32, neighbors []uint32) {
 
 // join appends u to the group of the leaving IS vertex w.
 func (st *twoKState) join(u, w uint32) {
-	gi := st.groupOf[w]
+	gi, _ := st.groups.of(w)
 	if gi < 0 {
 		// w left the set without a registered group (defensive; should not
 		// happen). Register w in a fresh group so validation still covers
 		// both u and w — the swap replay discovers R vertices through the
 		// groups' ws lists, so w must appear there.
-		gi = st.newGroup(w)
-		st.groupOf[w] = gi
+		gi = st.groups.add(w, semiext.NoVertex)
+		st.groups.assign(w, gi)
 	}
-	if st.groupOf[u] < 0 {
-		st.groupOf[u] = gi
-	} else if st.groupOf[u] != gi && st.groupOf2[u] < 0 {
-		st.groupOf2[u] = gi
-	}
-}
-
-func (st *twoKState) newGroup(ws ...uint32) int32 {
-	st.groups = append(st.groups, swapGroup{ws: append([]uint32(nil), ws...)})
-	return int32(len(st.groups) - 1)
+	st.groups.join(u, gi)
 }
 
 // swapPass builds the swap phase as a validating sequential logical pass:
@@ -526,7 +467,8 @@ func (st *twoKState) swapPass() pipeline.Pass {
 // collision, in which case its group(s) roll back. Shared between the
 // dedicated swap scan and the cross-round replay.
 func (st *twoKState) swapValidateP(u uint32, neighbors []uint32) {
-	if st.groupFailed(u) {
+	g1, g2 := st.groups.of(u)
+	if st.groups.failed(g1) || st.groups.failed(g2) {
 		st.states.Set(u, semiext.StateConflict)
 		return
 	}
@@ -535,19 +477,20 @@ func (st *twoKState) swapValidateP(u uint32, neighbors []uint32) {
 			// Cross-group passenger collision: nb was promoted earlier in
 			// this scan next to u. Demote u and roll its group(s) back.
 			st.states.Set(u, semiext.StateConflict)
-			st.fail(st.groupOf[u])
-			st.fail(st.groupOf2[u])
+			st.fail(g1)
+			st.fail(g2)
 			return
 		}
 	}
 	st.states.Set(u, semiext.StateIS)
-	st.confirm(u)
+	st.groups.confirm(g1, u)
+	st.groups.confirm(g2, u)
 }
 
 // swapValidateR resolves one R vertex: reinstated if its group failed,
 // otherwise it leaves the set and the round counts as having swapped.
 func (st *twoKState) swapValidateR(u uint32) {
-	if gi := st.groupOf[u]; gi >= 0 && st.groups[gi].failed {
+	if gi, _ := st.groups.of(u); st.groups.failed(gi) {
 		st.states.Set(u, semiext.StateIS) // reinstated
 	} else {
 		st.states.Set(u, semiext.StateNonIS)
@@ -569,9 +512,9 @@ func (st *twoKState) replaySwap() {
 	c := st.carry
 	type rv struct{ pos, v uint32 }
 	var rs []rv
-	for _, g := range st.groups {
+	for _, g := range st.groups.list {
 		for _, w := range g.ws {
-			if st.states.Get(w) == semiext.StateRetrograde {
+			if w != semiext.NoVertex && st.states.Get(w) == semiext.StateRetrograde {
 				rs = append(rs, rv{c.scanPos[w], w})
 			}
 		}
@@ -597,40 +540,133 @@ func (st *twoKState) replaySwap() {
 	}
 }
 
-func (st *twoKState) groupFailed(u uint32) bool {
-	if gi := st.groupOf[u]; gi >= 0 && st.groups[gi].failed {
-		return true
-	}
-	if gi := st.groupOf2[u]; gi >= 0 && st.groups[gi].failed {
-		return true
-	}
-	return false
-}
-
-func (st *twoKState) confirm(u uint32) {
-	if gi := st.groupOf[u]; gi >= 0 {
-		st.groups[gi].confirmed = append(st.groups[gi].confirmed, u)
-	}
-	if gi := st.groupOf2[u]; gi >= 0 {
-		st.groups[gi].confirmed = append(st.groups[gi].confirmed, u)
-	}
-}
-
 // fail rolls a group back: members already confirmed are demoted to C and
 // the group's leaving IS vertices are reinstated. Cross-group P–R adjacency
 // is impossible (an A vertex's IS neighbors are exactly its ISN set, and an
 // IS vertex is demoted by at most one skeleton per round), so reinstating
 // the ws cannot collide with any other group's confirmed members.
 func (st *twoKState) fail(gi int32) {
-	if gi < 0 || st.groups[gi].failed {
+	if gi < 0 || st.groups.list[gi].failed {
 		return
 	}
-	g := &st.groups[gi]
+	g := &st.groups.list[gi]
 	g.failed = true
-	for _, m := range g.confirmed {
-		st.states.Set(m, semiext.StateConflict)
+	for e := g.confirmed; e >= 0; e = st.groups.confirmed[e].next {
+		st.states.Set(st.groups.confirmed[e].v, semiext.StateConflict)
 	}
 	for _, w := range g.ws {
-		st.states.Set(w, semiext.StateIS)
+		if w != semiext.NoVertex {
+			st.states.Set(w, semiext.StateIS)
+		}
 	}
 }
+
+// swapGroups holds the round's swap groups and, for each P or R vertex, the
+// groups it belongs to. Only P and R vertices have entries — a few hundred
+// in the first round of a 150k-vertex power-law graph, a handful later — so
+// the table is sized to the round's swaps, not to |V|. reset empties it
+// and keeps every allocation.
+type swapGroups struct {
+	members semiext.KeyTable // P or R vertex → its position in memberOf
+	// memberOf holds, by position, a vertex's primary group and its
+	// secondary one (a joiner whose two ISN left in different groups); -1
+	// when none.
+	memberOf  [][2]int32
+	list      []swapGroup
+	confirmed []confirmedMember // every group's confirmed members
+}
+
+type swapGroup struct {
+	ws        [2]uint32 // IS vertices leaving (state R); ws[1] is NoVertex for a 1-k swap
+	confirmed int32     // the member last promoted to I this swap phase, -1 when none
+	failed    bool
+}
+
+// confirmedMember links one group's confirmed members, newest first.
+type confirmedMember struct {
+	v    uint32
+	next int32 // the group's previously confirmed member, -1 when none
+}
+
+func (gs *swapGroups) reset() {
+	gs.members.Reset()
+	gs.memberOf = gs.memberOf[:0]
+	gs.list = gs.list[:0]
+	gs.confirmed = gs.confirmed[:0]
+}
+
+// add registers a group whose leaving IS vertices are w1 and w2 (NoVertex
+// for a 1-k swap) and returns its index.
+func (gs *swapGroups) add(w1, w2 uint32) int32 {
+	gs.list = append(gs.list, swapGroup{ws: [2]uint32{w1, w2}, confirmed: -1})
+	return int32(len(gs.list) - 1)
+}
+
+// groupsOf returns v's group entry, creating an empty one.
+func (gs *swapGroups) groupsOf(v uint32) *[2]int32 {
+	pos := gs.members.Insert(uint64(v))
+	if pos == len(gs.memberOf) {
+		gs.memberOf = append(gs.memberOf, [2]int32{-1, -1})
+	}
+	return &gs.memberOf[pos]
+}
+
+// assign makes gi v's primary group.
+func (gs *swapGroups) assign(v uint32, gi int32) { gs.groupsOf(v)[0] = gi }
+
+// join adds gi to u's groups: as the primary group when u has none, else
+// as the secondary one when it differs and that slot is free.
+func (gs *swapGroups) join(u uint32, gi int32) {
+	g := gs.groupsOf(u)
+	if g[0] < 0 {
+		g[0] = gi
+	} else if g[0] != gi && g[1] < 0 {
+		g[1] = gi
+	}
+}
+
+// of returns v's primary and secondary groups, -1 for none.
+func (gs *swapGroups) of(v uint32) (int32, int32) {
+	if pos, ok := gs.members.Find(uint64(v)); ok {
+		return gs.memberOf[pos][0], gs.memberOf[pos][1]
+	}
+	return -1, -1
+}
+
+func (gs *swapGroups) failed(gi int32) bool { return gi >= 0 && gs.list[gi].failed }
+
+// confirm records u's promotion to I in group gi, if any.
+func (gs *swapGroups) confirm(gi int32, u uint32) {
+	if gi < 0 {
+		return
+	}
+	g := &gs.list[gi]
+	gs.confirmed = append(gs.confirmed, confirmedMember{v: u, next: g.confirmed})
+	g.confirmed = int32(len(gs.confirmed) - 1)
+}
+
+// memoryBytes returns the bytes the table has allocated; capacity never
+// shrinks, so this is also its high-water mark.
+func (gs *swapGroups) memoryBytes() uint64 {
+	return gs.members.MemoryBytes() +
+		uint64(cap(gs.memberOf))*uint64(unsafe.Sizeof([2]int32{})) +
+		uint64(cap(gs.list))*uint64(unsafe.Sizeof(swapGroup{})) +
+		uint64(cap(gs.confirmed))*uint64(unsafe.Sizeof(confirmedMember{}))
+}
+
+// adjacency answers whether a vertex is a neighbor of the record in hand,
+// from a sorted copy of its list; the copy is scratch reused across
+// records.
+type adjacency struct{ sorted []uint32 }
+
+func (a *adjacency) load(neighbors []uint32) {
+	a.sorted = append(a.sorted[:0], neighbors...)
+	slices.Sort(a.sorted)
+}
+
+func (a *adjacency) has(v uint32) bool {
+	_, found := slices.BinarySearch(a.sorted, v)
+	return found
+}
+
+func (a *adjacency) memoryBytes() uint64 { return uint64(cap(a.sorted)) * 4 }

@@ -275,13 +275,19 @@ func (e *Executor) runParallel(m *merge, units []Unit) error {
 	// Consume units in order; within a unit, batches arrive in order. The
 	// merged invocation sequence is therefore the sequential scan order, and
 	// the earliest error in that order wins — exactly the sequential
-	// engine's stopping point. On any stop, close(quit) unblocks every
+	// engine's stopping point. ctx is checked before every message, the
+	// unit's terminal one included, as runInline checks it before every
+	// NextBatch: a cancel raised in the callback of the last batch fails the
+	// scan instead of completing it. On any stop, close(quit) unblocks every
 	// worker and wg.Wait guarantees none outlives the call.
 	var runErr error
 consume:
 	for i := range chans {
 		for {
 			msg := <-chans[i]
+			if runErr = m.canceled(); runErr != nil {
+				break consume
+			}
 			if msg.last {
 				if msg.err != nil {
 					runErr = msg.err
@@ -289,9 +295,6 @@ consume:
 				}
 				m.consumed[units[i].File] = units[i].Part.EndOffset
 				break
-			}
-			if runErr = m.canceled(); runErr != nil {
-				break consume
 			}
 			if runErr = m.deliver(msg.recs); runErr != nil {
 				break consume

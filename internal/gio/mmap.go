@@ -275,8 +275,6 @@ func (g *File) newMappedScanner(startOff int64, startRec, limit uint64, detached
 		baseOff:  startOff,
 		detached: detached,
 		mapped:   true,
-		recs:     make([]Record, 0, batchMaxRecords),
-		arena:    make([]uint32, 0, batchTargetInts),
 	}
 	if g.mm.acquire() {
 		s.mref = &mapRef{mm: g.mm}

@@ -78,6 +78,27 @@ func TestMmapZeroCopyAliasesMapping(t *testing.T) {
 	if records != 5000 {
 		t.Fatalf("scanned %d records, want 5000", records)
 	}
+
+	// Copying no neighbor, the path allocates no arena: neither a full scan
+	// nor the partition scanners of a parallel one.
+	parts, err := f.Partitions(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := f.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append([]*Scanner{full}, f.ScanPartition(parts[0]), f.ScanPartition(parts[1])) {
+		for s.NextBatch() != nil {
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.arena) != 0 {
+			t.Fatalf("zero-copy scanner allocated a %d-value arena", cap(s.arena))
+		}
+	}
 }
 
 // TestMmapCompressedUsesArena pins the documented asymmetry: compressed

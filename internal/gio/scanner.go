@@ -359,8 +359,6 @@ func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
 		ctx:     ctx,
 		limit:   g.records,
 		baseOff: HeaderSize,
-		recs:    make([]Record, 0, batchMaxRecords),
-		arena:   make([]uint32, 0, batchTargetInts),
 	}, nil
 }
 
@@ -383,8 +381,6 @@ func (g *File) ScanPartition(p Partition) *Scanner {
 		limit:    p.StartRecord + p.Records,
 		baseOff:  p.StartOffset,
 		detached: true,
-		recs:     make([]Record, 0, batchMaxRecords),
-		arena:    make([]uint32, 0, batchTargetInts),
 	}
 }
 
@@ -492,6 +488,12 @@ func (s *Scanner) fillBatch() {
 		s.recs = make([]Record, 0, cap(s.recs))
 	}
 	s.arena = s.arena[:0]
+	if cap(s.recs) < batchMaxRecords {
+		// First fill, or batch storage handed in by SwapBuffers: give the
+		// batch its full capacity now rather than growing it record by
+		// record.
+		s.recs = make([]Record, 0, batchMaxRecords)
+	}
 	if s.file.header.Flags&FlagCompressed != 0 {
 		s.fillCompressed()
 	} else if s.zerocopy {
@@ -554,12 +556,24 @@ func (s *Scanner) fillRaw() {
 // which would invalidate the views already handed to this batch's records.
 // With records already in the batch it refuses instead, so the caller closes
 // the batch and resumes into an empty (possibly grown) arena.
+//
+// A scanner is born without an arena and allocates it here, on first use,
+// at batchTargetInts values, growing from there as before: batches cut the
+// same, and a zero-copy mapped scan, which never copies a neighbor, never
+// allocates one.
 func (s *Scanner) reserve(need int) bool {
 	if len(s.arena)+need <= cap(s.arena) {
 		return true
 	}
 	if len(s.recs) > 0 {
 		return false
+	}
+	c := cap(s.arena)
+	if c == 0 {
+		if c = batchTargetInts; need <= c {
+			s.arena = make([]uint32, 0, c)
+			return true
+		}
 	}
 	if aliasCheck {
 		// The old arena is about to be abandoned to the GC; poison it so
@@ -570,14 +584,7 @@ func (s *Scanner) reserve(need int) bool {
 			p[i] = AliasPoison
 		}
 	}
-	newCap := 2 * cap(s.arena)
-	if newCap < need {
-		newCap = need
-	}
-	if newCap < batchTargetInts {
-		newCap = batchTargetInts
-	}
-	s.arena = make([]uint32, 0, newCap)
+	s.arena = make([]uint32, 0, max(2*c, need))
 	return true
 }
 

@@ -49,7 +49,7 @@ func (b *RecordBuffer) Append(id, pos uint32, neighbors []uint32) bool {
 	}
 	b.nbrs = append(b.nbrs, neighbors...)
 	b.heads = append(b.heads, uint32(len(b.nbrs)))
-	if cur := uint64(len(b.ids)+len(b.pos)+len(b.heads)+len(b.nbrs)) * 4; cur > b.peak {
+	if cur := uint64(cap(b.ids)+cap(b.pos)+cap(b.heads)+cap(b.nbrs)) * 4; cur > b.peak {
 		b.peak = cur
 	}
 	return true
@@ -97,5 +97,7 @@ func (b *RecordBuffer) Reset() {
 	b.overflow = false
 }
 
-// MemoryPeak returns the high-water byte footprint of the buffer.
+// MemoryPeak returns the high-water byte footprint of the buffer: the
+// capacity its arrays had allocated, which append growth leaves above the
+// stored length.
 func (b *RecordBuffer) MemoryPeak() uint64 { return b.peak }

@@ -1,6 +1,7 @@
 package semiext
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,32 +202,79 @@ func TestISNCounterProperty(t *testing.T) {
 	}
 }
 
-func TestSCStore(t *testing.T) {
-	sc := NewSCStore()
-	sc.Add(3, 1, 10, 11)
-	sc.Add(1, 3, 12, 13) // same unordered key
-	sc.Add(2, 4, 20, 21)
-	if got := sc.Pairs(1, 3); len(got) != 2 {
-		t.Fatalf("Pairs(1,3) = %v", got)
+// TestCandidateIndex checks the per-round candidate index: each key's
+// partners and pairs come back in insertion order under either argument
+// order, a singleton key is apart from every pair key, Free drops one key's
+// entries and their SC count, Reset empties the index but keeps its
+// allocations, and the byte count is what the arrays hold.
+func TestCandidateIndex(t *testing.T) {
+	x := NewCandidateIndex()
+	fill := func() {
+		x.AddPartner(3, 1, 10)
+		x.AddPartner(1, NoVertex, 11)
+		x.AddPartner(1, 1, 12) // a record that lists IS vertex 1 twice
+		x.AddPair(1, 3, 13, 10)
+		x.AddPartner(1, 3, 13)
+		x.AddPair(2, 4, 20, 21)
+		x.AddPair(3, 1, 14, 11)
+		x.AddPartner(3, 1, 14)
 	}
-	if got := sc.Pairs(3, 1); len(got) != 2 {
-		t.Fatal("key must be unordered")
+	fill()
+	if got, want := slices.Collect(x.Partners(1, 3)), []uint32{10, 13, 14}; !slices.Equal(got, want) {
+		t.Fatalf("Partners(1, 3) = %v, want %v", got, want)
 	}
-	if sc.Size() != 6 {
-		t.Fatalf("Size = %d, want 6", sc.Size())
+	if got, want := slices.Collect(x.Pairs(3, 1)), []Pair{{13, 10}, {14, 11}}; !slices.Equal(got, want) {
+		t.Fatalf("Pairs(3, 1) = %v, want %v", got, want)
 	}
-	if sc.HighWater() != 6 {
-		t.Fatalf("HighWater = %d", sc.HighWater())
+	if got := slices.Collect(x.Partners(1, NoVertex)); !slices.Equal(got, []uint32{11}) {
+		t.Fatalf("Partners(1, NoVertex) = %v, want [11]", got)
 	}
-	sc.Free(1, 3)
-	if sc.Size() != 2 || len(sc.Pairs(1, 3)) != 0 {
-		t.Fatal("Free failed")
+	if got := slices.Collect(x.Partners(1, 1)); !slices.Equal(got, []uint32{12}) {
+		t.Fatalf("Partners(1, 1) = %v, want [12]", got)
 	}
-	if sc.HighWater() != 6 {
-		t.Fatal("HighWater must persist past Free")
+	if got := slices.Collect(x.Pairs(5, 6)); len(got) != 0 {
+		t.Fatalf("Pairs of an absent key = %v", got)
 	}
-	sc.Reset()
-	if sc.Size() != 0 || sc.HighWater() != 6 {
-		t.Fatal("Reset wrong")
+	if x.Size() != 6 {
+		t.Fatalf("Size = %d, want 6", x.Size())
+	}
+
+	x.Free(3, 1)
+	if x.Size() != 2 || len(slices.Collect(x.Pairs(1, 3))) != 0 || len(slices.Collect(x.Partners(1, 3))) != 0 {
+		t.Fatalf("after Free(3, 1): Size %d, pairs %v, partners %v",
+			x.Size(), slices.Collect(x.Pairs(1, 3)), slices.Collect(x.Partners(1, 3)))
+	}
+	if got := slices.Collect(x.Pairs(2, 4)); !slices.Equal(got, []Pair{{20, 21}}) {
+		t.Fatalf("Free(3, 1) touched another key: Pairs(2, 4) = %v", got)
+	}
+	x.Free(7, 8) // absent: a no-op
+
+	// Grow well past the first table, then check the byte count against
+	// the capacities it is made of.
+	for i := uint32(0); i < 1000; i++ {
+		x.AddPartner(100+i, 5000+i, i)
+	}
+	want := uint64(cap(x.keys.slots))*4 + uint64(cap(x.keys.keys))*8 +
+		uint64(cap(x.chains))*8 + uint64(cap(x.entries))*12
+	if got := x.MemoryBytes(); got != want || got == 0 {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	}
+	if len(x.keys.slots) < 2*x.keys.Len() {
+		t.Fatalf("table of %d slots holds %d keys: over half full", len(x.keys.slots), x.keys.Len())
+	}
+
+	x.Reset()
+	if x.Size() != 0 || x.keys.Len() != 0 || len(slices.Collect(x.Partners(100, 5000))) != 0 {
+		t.Fatal("Reset left entries behind")
+	}
+	if x.MemoryBytes() != want {
+		t.Fatalf("Reset changed MemoryBytes from %d to %d: it must keep its allocations", want, x.MemoryBytes())
+	}
+	fill()
+	if got := slices.Collect(x.Partners(3, 1)); !slices.Equal(got, []uint32{10, 13, 14}) {
+		t.Fatalf("after Reset: Partners(3, 1) = %v", got)
+	}
+	if x.MemoryBytes() != want {
+		t.Fatalf("refilling a reset index allocated: MemoryBytes %d, was %d", x.MemoryBytes(), want)
 	}
 }
