@@ -44,12 +44,12 @@ func openFixture(t *testing.T, path string) (*gio.File, *gio.Counters) {
 // resolve from the collection that rode the setup scan, so the expected
 // counts decompose as:
 //
-//	greedy            setup(mark+stats fused)                      → 2 logical / 1 physical
-//	one-k-swap        setup·carry + (pre carried + post·sweep)     → 4 logical / 2 physical
-//	two-k-swap        setup·deg·carry + (pre+swap carried + post·sweep) → 6 logical / 2 physical
-//	external-maximal  positions + time-forward (unfusable)         → 2 logical / 2 physical
-//	upper-bound       one pass                                     → 1 logical / 1 physical
-//	verify-both       independent·maximal fused                    → 2 logical / 1 physical
+//	greedy            setup(mark+stats fused)                       → 2 logical / 1 physical
+//	one-k-swap        setup·carry + (pre carried + post·sweep)      → 4 logical / 2 physical
+//	two-k-swap        setup·carry + (pre+swap carried + post·sweep) → 5 logical / 2 physical
+//	external-maximal  positions + time-forward (unfusable)          → 2 logical / 2 physical
+//	upper-bound       one pass                                      → 1 logical / 1 physical
+//	verify-both       independent·maximal fused                     → 2 logical / 1 physical
 func TestScanCountGolden(t *testing.T) {
 	f, stats := openTiny(t)
 
@@ -78,7 +78,7 @@ func TestScanCountGolden(t *testing.T) {
 	if two.Rounds != 1 {
 		t.Fatalf("two-k-swap rounds = %d, want 1 (fixture drifted; regenerate goldens)", two.Rounds)
 	}
-	checkIO(t, "two-k-swap", two.IO, 6, 2)
+	checkIO(t, "two-k-swap", two.IO, 5, 2)
 	if two.IO.CarriedScans != 2 {
 		t.Fatalf("two-k-swap carried scans = %d, want 2", two.IO.CarriedScans)
 	}
@@ -153,9 +153,9 @@ func TestScanCountGoldenMultiround(t *testing.T) {
 	if two.Rounds != 3 {
 		t.Fatalf("two-k-swap rounds = %d, want 3 (fixture drifted; regenerate goldens)", two.Rounds)
 	}
-	// setup·deg·carry (1 phys) + 3 × (pre+swap carried + post scan) +
-	// sweep fused: 12 logical, 4 physical, 6 carried.
-	checkIO(t, "two-k-swap", two.IO, 12, 4)
+	// setup·carry (1 phys) + 3 × (pre+swap carried + post scan) +
+	// sweep fused: 11 logical, 4 physical, 6 carried.
+	checkIO(t, "two-k-swap", two.IO, 11, 4)
 	if two.IO.CarriedScans != 6 {
 		t.Fatalf("two-k-swap carried scans = %d, want 6", two.IO.CarriedScans)
 	}
