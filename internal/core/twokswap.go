@@ -477,8 +477,8 @@ func (st *twoKState) swapValidateP(u uint32, neighbors []uint32) {
 			// Cross-group passenger collision: nb was promoted earlier in
 			// this scan next to u. Demote u and roll its group(s) back.
 			st.states.Set(u, semiext.StateConflict)
-			st.fail(g1)
-			st.fail(g2)
+			st.groups.fail(g1, st.states)
+			st.groups.fail(g2, st.states)
 			return
 		}
 	}
@@ -536,27 +536,6 @@ func (st *twoKState) replaySwap() {
 	for ; ri < len(rs); ri++ {
 		if st.states.Get(rs[ri].v) == semiext.StateRetrograde {
 			st.swapValidateR(rs[ri].v)
-		}
-	}
-}
-
-// fail rolls a group back: members already confirmed are demoted to C and
-// the group's leaving IS vertices are reinstated. Cross-group P–R adjacency
-// is impossible (an A vertex's IS neighbors are exactly its ISN set, and an
-// IS vertex is demoted by at most one skeleton per round), so reinstating
-// the ws cannot collide with any other group's confirmed members.
-func (st *twoKState) fail(gi int32) {
-	if gi < 0 || st.groups.list[gi].failed {
-		return
-	}
-	g := &st.groups.list[gi]
-	g.failed = true
-	for e := g.confirmed; e >= 0; e = st.groups.confirmed[e].next {
-		st.states.Set(st.groups.confirmed[e].v, semiext.StateConflict)
-	}
-	for _, w := range g.ws {
-		if w != semiext.NoVertex {
-			st.states.Set(w, semiext.StateIS)
 		}
 	}
 }
@@ -643,6 +622,28 @@ func (gs *swapGroups) confirm(gi int32, u uint32) {
 	g := &gs.list[gi]
 	gs.confirmed = append(gs.confirmed, confirmedMember{v: u, next: g.confirmed})
 	g.confirmed = int32(len(gs.confirmed) - 1)
+}
+
+// fail rolls group gi back, if any: members already confirmed are demoted
+// to C and the group's leaving IS vertices are reinstated. Cross-group P–R
+// adjacency is impossible (an A vertex's IS neighbors are exactly its ISN
+// set, and an IS vertex is demoted by at most one skeleton per round), so
+// reinstating the ws cannot collide with any other group's confirmed
+// members.
+func (gs *swapGroups) fail(gi int32, states semiext.States) {
+	if gi < 0 || gs.list[gi].failed {
+		return
+	}
+	g := &gs.list[gi]
+	g.failed = true
+	for e := g.confirmed; e >= 0; e = gs.confirmed[e].next {
+		states.Set(gs.confirmed[e].v, semiext.StateConflict)
+	}
+	for _, w := range g.ws {
+		if w != semiext.NoVertex {
+			states.Set(w, semiext.StateIS)
+		}
+	}
 }
 
 // memoryBytes returns the bytes the table has allocated; capacity never

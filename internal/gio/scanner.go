@@ -557,10 +557,9 @@ func (s *Scanner) fillRaw() {
 // With records already in the batch it refuses instead, so the caller closes
 // the batch and resumes into an empty (possibly grown) arena.
 //
-// A scanner is born without an arena and allocates it here, on first use,
-// at batchTargetInts values, growing from there as before: batches cut the
-// same, and a zero-copy mapped scan, which never copies a neighbor, never
-// allocates one.
+// A scanner is born without an arena and allocates batchTargetInts values
+// here on first use, so a zero-copy mapped scan, which copies no neighbor,
+// allocates none.
 func (s *Scanner) reserve(need int) bool {
 	if len(s.arena)+need <= cap(s.arena) {
 		return true
@@ -570,7 +569,9 @@ func (s *Scanner) reserve(need int) bool {
 	}
 	c := cap(s.arena)
 	if c == 0 {
-		if c = batchTargetInts; need <= c {
+		// First use: a batch-sized arena, unless this record needs more.
+		c = batchTargetInts
+		if need <= c {
 			s.arena = make([]uint32, 0, c)
 			return true
 		}
