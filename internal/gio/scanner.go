@@ -557,24 +557,14 @@ func (s *Scanner) fillRaw() {
 // With records already in the batch it refuses instead, so the caller closes
 // the batch and resumes into an empty (possibly grown) arena.
 //
-// A scanner is born without an arena and allocates batchTargetInts values
-// here on first use, so a zero-copy mapped scan, which copies no neighbor,
-// allocates none.
+// A scanner is born without an arena and allocates it here on first use,
+// so a zero-copy mapped scan, which copies no neighbor, allocates none.
 func (s *Scanner) reserve(need int) bool {
 	if len(s.arena)+need <= cap(s.arena) {
 		return true
 	}
 	if len(s.recs) > 0 {
 		return false
-	}
-	c := cap(s.arena)
-	if c == 0 {
-		// First use: a batch-sized arena, unless this record needs more.
-		c = batchTargetInts
-		if need <= c {
-			s.arena = make([]uint32, 0, c)
-			return true
-		}
 	}
 	if aliasCheck {
 		// The old arena is about to be abandoned to the GC; poison it so
@@ -585,7 +575,14 @@ func (s *Scanner) reserve(need int) bool {
 			p[i] = AliasPoison
 		}
 	}
-	s.arena = make([]uint32, 0, max(2*c, need))
+	newCap := 2 * cap(s.arena)
+	if newCap < need {
+		newCap = need
+	}
+	if newCap < batchTargetInts {
+		newCap = batchTargetInts
+	}
+	s.arena = make([]uint32, 0, newCap)
 	return true
 }
 
