@@ -38,14 +38,14 @@ type carryCollector struct {
 	states semiext.States
 	buf    *semiext.RecordBuffer // the A records, budget-bounded
 
-	// scanPos maps vertex → scan position, filled as a free rider of every
-	// collection scan. Two-k-swap's validating swap replay needs it to
-	// interleave the R vertices (which are not in the buffer — they were IS
-	// at collection time) with the buffered P vertices in exact scan order.
+	// index, for two-k-swap, receives each I vertex's carry index as a free
+	// rider of every collection scan: the number of A records buffered
+	// before it. Two-k-swap's validating swap replay needs it to interleave
+	// the R vertices (which are not in the buffer — they were I at
+	// collection time) with the buffered P vertices in exact scan order.
 	// Nil for one-k-swap, which has no validating scan.
-	scanPos []uint32
+	index *semiext.ISN
 
-	idx       uint32 // running record index of the current collection scan
 	collected bool
 }
 
@@ -55,18 +55,15 @@ type carryCollector struct {
 // be forced in tests.
 var carryBudget = func(n int) int { return 2*n + 1024 }
 
-// newCarryCollector returns a collector over the shared state array.
-// withPos additionally allocates the vertex → scan-position table that
-// two-k-swap's swap replay interleaves R vertices with.
-func newCarryCollector(states semiext.States, withPos bool) *carryCollector {
-	c := &carryCollector{
+// newCarryCollector returns a collector over the shared state array. A
+// non-nil index (two-k-swap's two-slot ISN) additionally receives every I
+// vertex's carry index.
+func newCarryCollector(states semiext.States, index *semiext.ISN) *carryCollector {
+	return &carryCollector{
 		states: states,
-		buf:    semiext.NewRecordBuffer(carryBudget(states.Len()), withPos),
+		buf:    semiext.NewRecordBuffer(carryBudget(states.Len())),
+		index:  index,
 	}
-	if withPos {
-		c.scanPos = make([]uint32, states.Len())
-	}
-	return c
 }
 
 // pass returns the collection as a logical pass consuming the named product
@@ -84,24 +81,22 @@ func (c *carryCollector) pass(name, product string) pipeline.Pass {
 	}
 }
 
-// reset drops any previous collection, keeping the buffer's capacity (and
-// the scan-position table, which is identical for every scan of one file).
+// reset drops any previous collection, keeping the buffer's capacity.
 func (c *carryCollector) reset() {
 	c.buf.Reset()
-	c.idx = 0
 	c.collected = false
 }
 
 func (c *carryCollector) batch(batch []gio.Record) error {
 	for i := range batch {
 		r := &batch[i]
-		idx := c.idx
-		c.idx++
-		if c.scanPos != nil {
-			c.scanPos[r.ID] = idx
-		}
-		if c.states.Get(r.ID) == semiext.StateAdjacent {
-			c.buf.Append(r.ID, idx, r.Neighbors)
+		switch c.states.Get(r.ID) {
+		case semiext.StateAdjacent:
+			c.buf.Append(r.ID, r.Neighbors)
+		case semiext.StateIS:
+			if c.index != nil {
+				c.index.SetCarryIndex(r.ID, uint32(c.buf.Len()))
+			}
 		}
 	}
 	return nil
@@ -118,7 +113,6 @@ func (c *carryCollector) forEach(fn func(u uint32, neighbors []uint32)) {
 }
 
 // memoryBytes reports the collector's contribution to the algorithm's
-// high-water footprint: the deferral buffer plus the scan-position table.
-func (c *carryCollector) memoryBytes() uint64 {
-	return c.buf.MemoryPeak() + uint64(len(c.scanPos))*4
-}
+// high-water footprint: the deferral buffer (the carry indexes live in the
+// ISN's slots).
+func (c *carryCollector) memoryBytes() uint64 { return c.buf.MemoryPeak() }

@@ -11,28 +11,52 @@ import (
 	"repro/internal/semiext"
 )
 
-// TestCarryCollectorOverflow white-boxes the collector's overflow
-// discipline: past the budget it discards the deferral buffers and reports
-// not-ready (forcing the classic dedicated scans), while the scan-position
-// table keeps filling — it is needed by whichever later round's collection
-// does fit.
+// TestCarryCollectorOverflow white-boxes the collector: a collection that
+// fits buffers the A records in scan order and gives every I vertex its
+// carry index, the number of A records buffered before it, across batch
+// boundaries; past the budget it discards the buffer and reports not-ready
+// (forcing the classic dedicated scans); and re-arming starts afresh.
 func TestCarryCollectorOverflow(t *testing.T) {
 	const n = 8
+	A, I := semiext.StateAdjacent, semiext.StateIS
 	states := semiext.NewStates(n)
-	for v := uint32(0); v < n; v++ {
-		states.Set(v, semiext.StateAdjacent)
+	for v, s := range []semiext.State{A, A, I, A, I, I, A, I} {
+		states.Set(uint32(v), s)
 	}
-	c := newCarryCollector(states, true)
-	c.buf = semiext.NewRecordBuffer(5, true)
-	_ = c.pass("test-carry", "test-product") // arms the collection
+	isn := semiext.NewISN(states, true)
+	c := newCarryCollector(states, isn)
 
 	var batch []gio.Record
 	for v := uint32(0); v < n; v++ {
 		batch = append(batch, gio.Record{ID: v, Neighbors: []uint32{(v + 1) % n, (v + 2) % n}})
 	}
-	if err := c.batch(batch); err != nil {
-		t.Fatal(err)
+	collect := func() {
+		t.Helper()
+		_ = c.pass("test-carry", "test-product") // arms the collection
+		for _, part := range [][]gio.Record{batch[:3], batch[3:]} {
+			if err := c.batch(part); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+
+	collect()
+	if !c.ready() {
+		t.Fatal("a collection within budget is not ready")
+	}
+	var ids []uint32
+	c.forEach(func(u uint32, _ []uint32) { ids = append(ids, u) })
+	if !reflect.DeepEqual(ids, []uint32{0, 1, 3, 6}) {
+		t.Fatalf("buffered %v, want the A vertices [0 1 3 6] in scan order", ids)
+	}
+	for w, want := range map[uint32]uint32{2: 2, 4: 3, 5: 3, 7: 4} {
+		if got := isn.CarryIndex(w); got != want {
+			t.Fatalf("carry index of I vertex %d = %d, want %d", w, got, want)
+		}
+	}
+
+	c.buf = semiext.NewRecordBuffer(5) // two records of two neighbours fit
+	collect()
 	if !c.buf.Overflowed() {
 		t.Fatal("collector did not overflow past its budget")
 	}
@@ -42,16 +66,66 @@ func TestCarryCollectorOverflow(t *testing.T) {
 	if c.buf.Len() != 0 {
 		t.Fatalf("overflow did not discard the deferral buffer: %d records kept", c.buf.Len())
 	}
-	for v := uint32(0); v < n; v++ {
-		if c.scanPos[v] != v {
-			t.Fatalf("scanPos[%d] = %d, want %d (must keep filling past overflow)", v, c.scanPos[v], v)
-		}
-	}
 
 	// Re-arming for the next scan starts a fresh, non-overflowed collection.
 	_ = c.pass("test-carry", "test-product")
-	if c.buf.Overflowed() || c.idx != 0 {
-		t.Fatalf("re-armed collector kept stale state: overflow=%v idx=%d", c.buf.Overflowed(), c.idx)
+	if c.buf.Overflowed() || c.buf.Len() != 0 {
+		t.Fatalf("re-armed collector kept stale state: overflow=%v len=%d", c.buf.Overflowed(), c.buf.Len())
+	}
+}
+
+// TestReplaySwapFollowsScanOrder runs the validating swap pass twice on one
+// hand-built state, as the dedicated scan and as the carried replay, and
+// requires the same states and canSwap. In scan order the R vertex w (0)
+// comes before the P vertex u (1) of its group, and u has an I neighbor x
+// (2), so u fails the group and reinstates w after w has left: canSwap is
+// true only if w is handled first, which the replay gets from w's carry
+// index. In a whole run x would be another group's confirmed passenger,
+// and that group's own departing vertices would set canSwap in either
+// order; here x is a plain I vertex so that the order shows.
+func TestReplaySwapFollowsScanOrder(t *testing.T) {
+	const w, u, x = 0, 1, 2
+	records := []gio.Record{
+		{ID: w, Neighbors: []uint32{u}},
+		{ID: u, Neighbors: []uint32{w, x}},
+		{ID: x, Neighbors: []uint32{u}},
+	}
+	build := func(carried bool) *twoKState {
+		states := semiext.NewStates(len(records))
+		st := &twoKState{states: states, isn: semiext.NewISN(states, true)}
+		if carried {
+			// The collection scan saw w and x in the set and u as A.
+			states.Set(w, semiext.StateIS)
+			states.Set(u, semiext.StateAdjacent)
+			states.Set(x, semiext.StateIS)
+			st.carry = newCarryCollector(states, st.isn)
+			_ = st.carry.pass("test-carry", "test-product")
+			if err := st.carry.batch(records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The pre-swap fired a 1-2 swap: w leaves, u enters.
+		states.Set(w, semiext.StateRetrograde)
+		states.Set(u, semiext.StateProtected)
+		states.Set(x, semiext.StateIS)
+		gi := st.groups.add(w, semiext.NoVertex)
+		st.groups.assign(w, gi)
+		st.groups.assign(u, gi)
+		return st
+	}
+
+	scan := build(false)
+	if err := scan.swapPass().Batch(records); err != nil {
+		t.Fatal(err)
+	}
+	replay := build(true)
+	replay.replaySwap()
+	if !scan.canSwap {
+		t.Fatal("dedicated scan: w left before u failed its group, but canSwap is false")
+	}
+	if replay.canSwap != scan.canSwap || !reflect.DeepEqual(replay.states.Snapshot(), scan.states.Snapshot()) {
+		t.Fatalf("replay canSwap=%v states %v, dedicated scan canSwap=%v states %v",
+			replay.canSwap, replay.states.Snapshot(), scan.canSwap, scan.states.Snapshot())
 	}
 }
 

@@ -121,7 +121,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	snap := snapshot(f.Stats())
 
 	states := semiext.NewStates(n)
-	isn := semiext.NewISN(n, false)
+	isn := semiext.NewISN(states, false)
 	size := 0
 	for v, in := range initial {
 		if in {
@@ -138,7 +138,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	// counts it consumes are complete.
 	var carry *carryCollector
 	if !opts.Unfused {
-		carry = newCarryCollector(states, false)
+		carry = newCarryCollector(states, nil)
 	}
 	setup := opts.scheduler(f, rn)
 	setup.Add(setupPass(states, isn, false))
@@ -221,12 +221,7 @@ func oneKPreRecord(states semiext.States, isn *semiext.ISN, u uint32, neighbors 
 			return
 		}
 	}
-	w, _, cnt := isn.Get(u)
-	if cnt != 1 {
-		// Defensive: an A vertex always has exactly one ISN here.
-		states.Set(u, semiext.StateNonIS)
-		return
-	}
+	w, _, _ := isn.Get(u)
 	switch states.Get(w) {
 	case semiext.StateIS:
 		// (ii) 1-2 swap skeleton (u, v, w): some other still-A vertex v
@@ -289,7 +284,7 @@ func oneKRound(f Source, states semiext.States, isn *semiext.ISN, opts SwapOptio
 	for v := 0; v < states.Len(); v++ {
 		switch states.Get(uint32(v)) {
 		case semiext.StateProtected:
-			states.Set(uint32(v), semiext.StateIS)
+			isn.Join(uint32(v))
 		case semiext.StateRetrograde:
 			states.Set(uint32(v), semiext.StateNonIS)
 			canSwap = true
@@ -391,11 +386,12 @@ func hasOneTwoWitness(states semiext.States, isn *semiext.ISN, w uint32, neighbo
 	}
 	x := uint32(0)
 	for _, nb := range neighbors {
-		if states.Get(nb) == semiext.StateAdjacent && isn.Has(nb, w) {
-			if _, _, c := isn.Get(nb); c == 1 {
-				if x++; x+2 > pre {
-					return false
-				}
+		if states.Get(nb) != semiext.StateAdjacent {
+			continue
+		}
+		if w1, _, c := isn.Get(nb); c == 1 && w1 == w {
+			if x++; x+2 > pre {
+				return false
 			}
 		}
 	}
@@ -427,11 +423,12 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 				r := &batch[i]
 				u := r.ID
 				switch states.Get(u) {
-				case semiext.StateNonIS, semiext.StateConflict, semiext.StateAdjacent:
+				case semiext.StateAdjacent:
+					isn.Clear(u)
+				case semiext.StateNonIS, semiext.StateConflict:
 				default:
 					continue
 				}
-				isn.Clear(u)
 				switch c, e1, e2 := countIS(states, r.Neighbors, limit); {
 				case c == 1:
 					states.Set(u, semiext.StateAdjacent)
@@ -451,7 +448,7 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 							continue records
 						}
 					}
-					states.Set(u, semiext.StateIS)
+					isn.Join(u)
 				default:
 					states.Set(u, semiext.StateNonIS)
 				}

@@ -41,7 +41,7 @@ func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*
 
 	r := &randomizedRounds{
 		states:    semiext.NewStates(n), // Initial = undecided
-		residual:  semiext.NewRecordBuffer(carryBudget(n), false),
+		residual:  semiext.NewRecordBuffer(carryBudget(n)),
 		undecided: n,
 	}
 	carried := false // r.residual holds the complete residual
@@ -177,7 +177,7 @@ func (r *randomizedRounds) retireOrCollect(u uint32, neighbors []uint32) {
 			return // u retires when the scan reaches nb
 		}
 	}
-	r.residual.Append(u, 0, r.keep)
+	r.residual.Append(u, r.keep)
 }
 
 // roundKey derives one round's priority key from the run's seed: distinct

@@ -53,7 +53,7 @@ func newSweeper(f Source, states semiext.States, sopts pipeline.Options) *sweepe
 	return &sweeper{
 		f:      f,
 		states: states,
-		buf:    semiext.NewRecordBuffer(states.Len()+1024, false),
+		buf:    semiext.NewRecordBuffer(states.Len() + 1024),
 		sopts:  sopts,
 	}
 }
@@ -91,7 +91,7 @@ func (sw *sweeper) batch(batch []gio.Record) error {
 			}
 		}
 		if !covered {
-			sw.buf.Append(u, 0, r.Neighbors)
+			sw.buf.Append(u, r.Neighbors)
 		}
 	}
 	return nil

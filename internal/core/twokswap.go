@@ -34,10 +34,10 @@ type twoKState struct {
 	// adj answers adjacency queries against the record in hand.
 	adj adjacency
 
-	// carry holds the cross-round collection (A vertices with adjacency,
-	// plus the scan-position table): round r's setup/post-swap scan
-	// collects, round r+1's pre-swap and validating swap passes replay.
-	// Nil under an Unfused schedule.
+	// carry holds the cross-round collection (A vertices with adjacency;
+	// the I vertices' carry indexes go into isn): round r's setup/post-swap
+	// scan collects, round r+1's pre-swap and validating swap passes
+	// replay. Nil under an Unfused schedule.
 	carry *carryCollector
 
 	// groups registers each fired skeleton's leaving IS vertices and
@@ -92,13 +92,14 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	rn := newRun(ctx, h)
 	snap := snapshot(f.Stats())
 
+	states := semiext.NewStates(n)
 	st := &twoKState{
-		states: semiext.NewStates(n),
-		isn:    semiext.NewISN(n, true),
+		states: states,
+		isn:    semiext.NewISN(states, true),
 		index:  semiext.NewCandidateIndex(),
 	}
 	if !opts.Unfused {
-		st.carry = newCarryCollector(st.states, true)
+		st.carry = newCarryCollector(states, st.isn)
 	}
 	size := 0
 	for v, in := range initial {
@@ -482,7 +483,7 @@ func (st *twoKState) swapValidateP(u uint32, neighbors []uint32) {
 			return
 		}
 	}
-	st.states.Set(u, semiext.StateIS)
+	st.isn.Join(u)
 	st.groups.confirm(g1, u)
 	st.groups.confirm(g2, u)
 }
@@ -505,32 +506,34 @@ func (st *twoKState) swapValidateR(u uint32) {
 // swap groups) carry no adjacency reads but their position in the scan
 // matters — a group's failure mid-scan decides whether a later-scanned R
 // leaves or is reinstated, and whether its departure counts toward canSwap
-// — so they are interleaved with the buffered records in exact scan order
-// via the collector's scan-position table.
+// — so they are interleaved with the buffered records in exact scan order.
+// An R vertex's carry index counts the buffered records scanned before it,
+// so it precedes buffered record i exactly when its index is ≤ i. Several R
+// vertices between the same two records may go in any order: only a P
+// vertex fails a group.
 func (st *twoKState) replaySwap() {
 	st.canSwap = false
-	c := st.carry
-	type rv struct{ pos, v uint32 }
+	type rv struct{ index, v uint32 }
 	var rs []rv
 	for _, g := range st.groups.list {
 		for _, w := range g.ws {
 			if w != semiext.NoVertex && st.states.Get(w) == semiext.StateRetrograde {
-				rs = append(rs, rv{c.scanPos[w], w})
+				rs = append(rs, rv{st.isn.CarryIndex(w), w})
 			}
 		}
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].pos < rs[j].pos })
+	sort.Slice(rs, func(i, j int) bool { return rs[i].index < rs[j].index })
 
 	ri := 0
-	for i := 0; i < c.buf.Len(); i++ {
-		for ri < len(rs) && rs[ri].pos < c.buf.Pos(i) {
+	buf := st.carry.buf
+	for i := 0; i < buf.Len(); i++ {
+		for ; ri < len(rs) && int(rs[ri].index) <= i; ri++ {
 			if st.states.Get(rs[ri].v) == semiext.StateRetrograde {
 				st.swapValidateR(rs[ri].v)
 			}
-			ri++
 		}
-		if u := c.buf.ID(i); st.states.Get(u) == semiext.StateProtected {
-			st.swapValidateP(u, c.buf.Neighbors(i))
+		if u := buf.ID(i); st.states.Get(u) == semiext.StateProtected {
+			st.swapValidateP(u, buf.Neighbors(i))
 		}
 	}
 	for ; ri < len(rs); ri++ {

@@ -11,22 +11,18 @@ package semiext
 // high-water mark for the experiments' footprint accounting.
 type RecordBuffer struct {
 	ids   []uint32 // buffered vertices, in scan order
-	pos   []uint32 // their scan positions; nil unless tracking was requested
 	nbrs  []uint32 // neighbor lists, back to back
 	heads []uint32 // nbrs end offset per buffered vertex
 
-	withPos  bool
 	budget   int
 	overflow bool
 	peak     uint64
 }
 
 // NewRecordBuffer returns a buffer bounded at budget stored neighbor
-// entries. withPos additionally records each vertex's scan position, for
-// owners that later merge the buffer with out-of-buffer vertices in scan
-// order (two-k-swap's validating swap replay).
-func NewRecordBuffer(budget int, withPos bool) *RecordBuffer {
-	return &RecordBuffer{budget: budget, withPos: withPos}
+// entries.
+func NewRecordBuffer(budget int) *RecordBuffer {
+	return &RecordBuffer{budget: budget}
 }
 
 // Append copies one record into the buffer and reports whether it fit.
@@ -34,22 +30,19 @@ func NewRecordBuffer(budget int, withPos bool) *RecordBuffer {
 // Overflowed — a partial deferral is useless, and the fallback scan the
 // owner will run instead covers the whole file anyway. Appends after
 // overflow are ignored.
-func (b *RecordBuffer) Append(id, pos uint32, neighbors []uint32) bool {
+func (b *RecordBuffer) Append(id uint32, neighbors []uint32) bool {
 	if b.overflow {
 		return false
 	}
 	if len(b.nbrs)+len(neighbors) > b.budget {
 		b.overflow = true
-		b.ids, b.pos, b.nbrs, b.heads = nil, nil, nil, nil
+		b.ids, b.nbrs, b.heads = nil, nil, nil
 		return false
 	}
 	b.ids = append(b.ids, id)
-	if b.withPos {
-		b.pos = append(b.pos, pos)
-	}
 	b.nbrs = append(b.nbrs, neighbors...)
 	b.heads = append(b.heads, uint32(len(b.nbrs)))
-	if cur := uint64(cap(b.ids)+cap(b.pos)+cap(b.heads)+cap(b.nbrs)) * 4; cur > b.peak {
+	if cur := uint64(cap(b.ids)+cap(b.heads)+cap(b.nbrs)) * 4; cur > b.peak {
 		b.peak = cur
 	}
 	return true
@@ -65,10 +58,6 @@ func (b *RecordBuffer) Len() int { return len(b.ids) }
 
 // ID returns the i-th buffered vertex.
 func (b *RecordBuffer) ID(i int) uint32 { return b.ids[i] }
-
-// Pos returns the i-th buffered vertex's scan position. Only valid when the
-// buffer was created with position tracking.
-func (b *RecordBuffer) Pos(i int) uint32 { return b.pos[i] }
 
 // Neighbors returns the i-th buffered vertex's adjacency list. The slice
 // aliases the buffer and is valid until the next Reset.
@@ -93,7 +82,7 @@ func (b *RecordBuffer) ForEach(fn func(id uint32, neighbors []uint32)) {
 // Reset drops the contents and clears overflow, keeping capacity (and the
 // high-water mark, which spans the whole run).
 func (b *RecordBuffer) Reset() {
-	b.ids, b.pos, b.nbrs, b.heads = b.ids[:0], b.pos[:0], b.nbrs[:0], b.heads[:0]
+	b.ids, b.nbrs, b.heads = b.ids[:0], b.nbrs[:0], b.heads[:0]
 	b.overflow = false
 }
 

@@ -6,17 +6,17 @@ import (
 )
 
 func TestRecordBufferRoundTrip(t *testing.T) {
-	b := NewRecordBuffer(10, true)
+	b := NewRecordBuffer(10)
 	recs := []struct {
-		id, pos uint32
-		nbrs    []uint32
+		id   uint32
+		nbrs []uint32
 	}{
-		{4, 0, []uint32{1, 2, 3}},
-		{7, 2, nil},
-		{9, 5, []uint32{0, 4}},
+		{4, []uint32{1, 2, 3}},
+		{7, nil},
+		{9, []uint32{0, 4}},
 	}
 	for _, r := range recs {
-		if !b.Append(r.id, r.pos, r.nbrs) {
+		if !b.Append(r.id, r.nbrs) {
 			t.Fatalf("append %d rejected within budget", r.id)
 		}
 	}
@@ -24,8 +24,8 @@ func TestRecordBufferRoundTrip(t *testing.T) {
 		t.Fatalf("len=%d overflow=%v", b.Len(), b.Overflowed())
 	}
 	for i, r := range recs {
-		if b.ID(i) != r.id || b.Pos(i) != r.pos {
-			t.Fatalf("record %d: id/pos %d/%d, want %d/%d", i, b.ID(i), b.Pos(i), r.id, r.pos)
+		if b.ID(i) != r.id {
+			t.Fatalf("record %d: id %d, want %d", i, b.ID(i), r.id)
 		}
 		if got := b.Neighbors(i); len(got) != len(r.nbrs) || (len(got) > 0 && !reflect.DeepEqual(got, r.nbrs)) {
 			t.Fatalf("record %d: neighbors %v, want %v", i, got, r.nbrs)
@@ -42,24 +42,24 @@ func TestRecordBufferRoundTrip(t *testing.T) {
 }
 
 func TestRecordBufferOverflowAndReset(t *testing.T) {
-	b := NewRecordBuffer(4, false)
-	if !b.Append(1, 0, []uint32{1, 2, 3}) {
+	b := NewRecordBuffer(4)
+	if !b.Append(1, []uint32{1, 2, 3}) {
 		t.Fatal("first append rejected")
 	}
-	if b.Append(2, 1, []uint32{4, 5}) {
+	if b.Append(2, []uint32{4, 5}) {
 		t.Fatal("append past budget accepted")
 	}
 	if !b.Overflowed() || b.Len() != 0 {
 		t.Fatalf("overflow did not discard: overflowed=%v len=%d", b.Overflowed(), b.Len())
 	}
-	if b.Append(3, 2, []uint32{6}) {
+	if b.Append(3, []uint32{6}) {
 		t.Fatal("append after overflow accepted")
 	}
 	b.Reset()
 	if b.Overflowed() || b.Len() != 0 {
 		t.Fatal("reset did not clear overflow")
 	}
-	if !b.Append(3, 2, []uint32{6}) {
+	if !b.Append(3, []uint32{6}) {
 		t.Fatal("append after reset rejected")
 	}
 	if b.ID(0) != 3 || len(b.Neighbors(0)) != 1 || b.Neighbors(0)[0] != 6 {

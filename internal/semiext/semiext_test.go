@@ -1,6 +1,7 @@
 package semiext
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -84,66 +85,11 @@ func TestStatesPackedFootprint(t *testing.T) {
 	}
 }
 
-func TestISNSingle(t *testing.T) {
-	isn := NewISN(10, false)
-	isn.Set(1, 5)
-	isn.Set(2, 5)
-	isn.Set(3, 7)
-	if isn.PreimageCount(5) != 2 || isn.PreimageCount(7) != 1 {
-		t.Fatal("counters wrong after Set")
-	}
-	w, _, n := isn.Get(1)
-	if n != 1 || w != 5 {
-		t.Fatalf("Get(1) = %d,%d", w, n)
-	}
-	if !isn.Has(1, 5) || isn.Has(1, 7) {
-		t.Fatal("Has wrong")
-	}
-	isn.Clear(1)
-	if isn.PreimageCount(5) != 1 {
-		t.Fatal("Clear did not decrement")
-	}
-	if _, _, n := isn.Get(1); n != 0 {
-		t.Fatal("Clear did not clear")
-	}
-	isn.Clear(1) // double clear is a no-op
-	if isn.PreimageCount(5) != 1 {
-		t.Fatal("double Clear decremented")
-	}
-}
-
-func TestISNPair(t *testing.T) {
-	isn := NewISN(10, true)
-	isn.Set(1, 4, 6)
-	// Pairs do not count as witnesses.
-	if isn.PreimageCount(4) != 0 || isn.PreimageCount(6) != 0 {
-		t.Fatal("pair Set must not bump witness counters")
-	}
-	w1, w2, n := isn.Get(1)
-	if n != 2 || w1 != 4 || w2 != 6 {
-		t.Fatalf("Get = %d,%d,%d", w1, w2, n)
-	}
-	if !isn.Has(1, 4) || !isn.Has(1, 6) || isn.Has(1, 5) {
-		t.Fatal("Has wrong for pair")
-	}
-	isn.Clear(1)
-	if _, _, n := isn.Get(1); n != 0 {
-		t.Fatal("pair Clear failed")
-	}
-	isn.Set(2, 4)
-	if isn.PreimageCount(4) != 1 {
-		t.Fatal("singleton after pair broken")
-	}
-	isn.Reset()
-	if isn.PreimageCount(4) != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestISNPanics(t *testing.T) {
-	isn := NewISN(4, false)
-	mustPanic(t, func() { isn.Set(0, 1, 2) }) // pair on one-slot ISN
-	mustPanic(t, func() { isn.Set(0) })       // no neighbors
+	isn := NewISN(NewStates(4), false)
+	mustPanic(t, func() { isn.Set(0, 1, 2) })        // pair on one-slot ISN
+	mustPanic(t, func() { isn.Set(0) })              // no neighbors
+	mustPanic(t, func() { isn.SetCarryIndex(0, 1) }) // carry index on one-slot ISN
 }
 
 func mustPanic(t *testing.T, fn func()) {
@@ -156,50 +102,172 @@ func mustPanic(t *testing.T, fn func()) {
 	fn()
 }
 
+// TestISNCounterProperty drives the slot array through random sequences of
+// the swap algorithms' state changes, with one and with two slots per
+// vertex, and checks it against a map-based model after every step: each I
+// or R vertex's PreimageCount is the number of vertices whose recorded ISN
+// is exactly that vertex, its CarryIndex (two slots) is the last one set
+// while it stayed I or R, and each A vertex's Get is its recorded ISN. The
+// steps are I→R, R→N and R→I; N or C→A by Set, naming vertices in the set;
+// A→C or P, A→N and A→A (the post-swap recomputation) by Clear, before
+// Set for A→A; P, N or C→I by Join, only while no A vertex names the
+// vertex, as in the algorithms; and a carry index for an I vertex. An I or
+// R vertex's slots are read while vertices that named it before it left
+// and came back as A still hold their stale ISN, which is what rule 2's
+// guard in Clear protects, and a joining vertex's first slot still holds
+// its ISN from its time as A, which is what Join's zeroing protects.
 func TestISNCounterProperty(t *testing.T) {
-	// The witness counter always equals the number of vertices whose ISN is
-	// exactly {w}, under any interleaving of Set/Clear.
-	f := func(ops []uint16) bool {
-		const n = 16
-		isn := NewISN(n, true)
-		arity := make(map[uint32]int)
-		target := make(map[uint32][2]uint32)
-		for _, op := range ops {
-			u := uint32(op % n)
-			w1 := uint32((op >> 4) % n)
-			w2 := uint32((op >> 8) % n)
-			switch (op >> 12) % 3 {
-			case 0: // set singleton
-				isn.Clear(u)
-				isn.Set(u, w1)
-				arity[u] = 1
-				target[u] = [2]uint32{w1, NoVertex}
-			case 1: // set pair
-				isn.Clear(u)
-				isn.Set(u, w1, w2)
-				arity[u] = 2
-				target[u] = [2]uint32{w1, w2}
-			case 2: // clear
-				isn.Clear(u)
-				arity[u] = 0
-			}
-		}
-		for w := uint32(0); w < n; w++ {
-			want := uint32(0)
-			for u := uint32(0); u < n; u++ {
-				if arity[u] == 1 && target[u][0] == w {
-					want++
-				}
-			}
-			if isn.PreimageCount(w) != want {
+	for _, two := range []bool{false, true} {
+		f := func(init uint8, ops []uint32) bool {
+			step, err := runISNModel(two, init, ops)
+			if err != "" {
+				t.Logf("two=%v, step %d of %d: %s", two, step, len(ops), err)
 				return false
 			}
+			return true
 		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatalf("two=%v: %v", two, err)
+		}
+	}
+}
+
+// runISNModel applies ops to a fresh 8-vertex ISN whose vertices start I or
+// N by the bits of init, and returns the first step at which the ISN and the
+// model disagree, with a description, or "" when they never do.
+func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
+	const n = 8
+	states := NewStates(n)
+	for v := uint32(0); v < n; v++ {
+		if init>>v&1 == 1 {
+			states.Set(v, StateIS)
+		} else {
+			states.Set(v, StateNonIS)
+		}
+	}
+	isn := NewISN(states, two)
+	named := map[uint32][]uint32{}       // A vertex → its ISN
+	carry := map[uint32]uint32{}         // I or R vertex → its carry index
+	in := func(want ...State) []uint32 { // vertices in any of the states
+		var out []uint32
+		for v := uint32(0); v < n; v++ {
+			if slices.Contains(want, states.Get(v)) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	// set names IS vertices picked by a and b (one, or two with two slots).
+	set := func(u, a, b uint32) bool {
+		is := in(StateIS)
+		if len(is) == 0 {
+			return false
+		}
+		w := []uint32{is[a%uint32(len(is))]}
+		if two && b&1 == 1 {
+			w = append(w, is[b>>1%uint32(len(is))])
+		}
+		states.Set(u, StateAdjacent)
+		isn.Set(u, w...)
+		named[u] = w
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	clear := func(u uint32, to State) {
+		states.Set(u, to)
+		isn.Clear(u)
+		delete(named, u)
 	}
+	for step, op := range ops {
+		kind, a, b, c := op%8, op>>3&0xff, op>>11&0xff, op>>19
+		pick := func(vs []uint32) (uint32, bool) {
+			if len(vs) == 0 {
+				return 0, false
+			}
+			return vs[a%uint32(len(vs))], true
+		}
+		switch kind {
+		case 0: // I→R: a pre-swap marks an IS vertex as leaving
+			if w, ok := pick(in(StateIS)); ok {
+				states.Set(w, StateRetrograde)
+			}
+		case 1: // R→N: the swap removes it; its namers keep a stale ISN
+			if w, ok := pick(in(StateRetrograde)); ok {
+				states.Set(w, StateNonIS)
+				delete(carry, w)
+			}
+		case 2: // R→I: reinstated, keeping its count
+			if w, ok := pick(in(StateRetrograde)); ok {
+				states.Set(w, StateIS)
+			}
+		case 3: // N or C→A
+			if u, ok := pick(in(StateNonIS, StateConflict)); ok {
+				set(u, b, c)
+			}
+		case 4: // A→C or A→P
+			if u, ok := pick(in(StateAdjacent)); ok {
+				clear(u, []State{StateConflict, StateProtected}[b&1])
+			}
+		case 5: // A→N or A→A: the post-swap recomputation
+			if u, ok := pick(in(StateAdjacent)); ok {
+				clear(u, StateNonIS)
+				if b&1 == 1 {
+					set(u, b>>1, c)
+				}
+			}
+		case 6: // P, N or C→I, only while no A vertex names it
+			var free []uint32
+			for _, v := range in(StateProtected, StateNonIS, StateConflict) {
+				if !namedAnywhere(named, v) {
+					free = append(free, v)
+				}
+			}
+			if v, ok := pick(free); ok {
+				isn.Join(v)
+				if states.Get(v) != StateIS {
+					return step, fmt.Sprintf("Join(%d) left it in state %v", v, states.Get(v))
+				}
+			}
+		case 7: // a carry index for an I vertex
+			if w, ok := pick(in(StateIS)); ok && two {
+				isn.SetCarryIndex(w, c)
+				carry[w] = c
+			}
+		}
+		for v := uint32(0); v < n; v++ {
+			switch states.Get(v) {
+			case StateAdjacent:
+				w := named[v]
+				w1, w2, k := isn.Get(v)
+				if k != len(w) || w1 != w[0] || (k == 2 && w2 != w[1]) {
+					return step, fmt.Sprintf("A vertex %d: Get = %d %d (%d), model %v", v, w1, w2, k, w)
+				}
+			case StateIS, StateRetrograde:
+				want := uint32(0)
+				for _, w := range named {
+					if len(w) == 1 && w[0] == v {
+						want++
+					}
+				}
+				if got := isn.PreimageCount(v); got != want {
+					return step, fmt.Sprintf("%v vertex %d: PreimageCount = %d, model %d", states.Get(v), v, got, want)
+				}
+				if want, ok := carry[v]; ok && isn.CarryIndex(v) != want {
+					return step, fmt.Sprintf("%v vertex %d: CarryIndex = %d, model %d", states.Get(v), v, isn.CarryIndex(v), want)
+				}
+			}
+		}
+	}
+	return 0, ""
+}
+
+// namedAnywhere reports whether some vertex's ISN in named contains v.
+func namedAnywhere(named map[uint32][]uint32, v uint32) bool {
+	for _, w := range named {
+		if slices.Contains(w, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCandidateIndex checks the per-round candidate index: each key's

@@ -1,8 +1,18 @@
 // Package semiext holds the in-memory per-vertex structures of the paper's
 // semi-external framework: the six-state array of Table 3, the ISN
-// (IS-neighbor) sets, and the swap-candidate (SC) store used by two-k-swap,
+// (IS-neighbor) slots, and the swap-candidate (SC) store used by two-k-swap,
 // all with explicit memory accounting so experiments can report the
 // framework's footprint (Table 6, Figure 10).
+//
+// The ISN keeps one slot per vertex for one-k-swap and two for two-k-swap,
+// read according to the vertex's state: an A vertex's slots hold its ISN,
+// an I or R vertex's first slot its witness count and (two-k-swap) its
+// second slot its carry index, and any other vertex's slots are stale. Four
+// rules keep that exact: only A vertices hold an ISN; clearing one
+// decrements its singleton IS neighbor's count only while that neighbor is
+// I or R; a vertex entering the set starts from a zero count, while a
+// reinstated R vertex keeps its own; and the carried swap replay handles an
+// R vertex before buffered record i exactly when its carry index is ≤ i.
 package semiext
 
 // State is a vertex's swap state (Table 3 of the paper).
@@ -124,122 +134,121 @@ func (st States) Snapshot() []State {
 // MemoryBytes returns the packed array's in-memory size: ⌈n/2⌉ bytes.
 func (st States) MemoryBytes() uint64 { return uint64(len(st.b)) }
 
-// ISN stores, for each A vertex, its (at most two) IS neighbors, and for
-// each IS vertex w, the number of A vertices whose ISN is exactly {w} — the
-// counter reuse trick of Section 5.4 that lets one-k-swap test 1-2
-// swap-skeleton existence in O(deg u) without locating the partner vertex.
-// Only singleton preimages are counted because only a vertex whose sole IS
-// neighbor is w can serve as the witness of a 1-2 swap against w.
+// ISN is the swap algorithms' per-vertex slot array: one uint32 per vertex
+// for one-k-swap, two for two-k-swap, interleaved so that a vertex's slots
+// are adjacent. It is built over the run's States, and a slot's meaning
+// follows its vertex's state there:
+//
+//   - an A vertex's slots hold its IS neighbors, its ISN (for two-k-swap the
+//     second slot is NoVertex when the ISN is a singleton);
+//   - an I or R vertex w's first slot holds its witness count |ISN⁻¹(w)|:
+//     the A vertices whose ISN is exactly {w}. This is the counter reuse
+//     trick of Section 5.4 that lets one-k-swap test 1-2 swap-skeleton
+//     existence in O(deg u) without locating the partner vertex. Only
+//     singleton preimages count, because only a vertex whose sole IS
+//     neighbor is w can witness a 1-2 swap against w;
+//   - for two-k-swap, an I or R vertex's second slot holds its carry index
+//     (SetCarryIndex);
+//   - a vertex in any other state has stale slots that are never read.
+//
+// Four rules keep the overlay exact:
+//
+//  1. Only A vertices hold an ISN, so only a vertex that was A until now is
+//     ever cleared.
+//  2. Clear decrements the count of u's singleton IS neighbor w only while w
+//     is I or R: a w that has left the set may already hold its own new ISN
+//     in that slot.
+//  3. A vertex enters the set with a zero count (Join): no A vertex names a
+//     vertex outside the set. A reinstated R vertex keeps its count.
+//  4. Two-k-swap's carried swap replay handles an R vertex w before buffered
+//     record i exactly when CarryIndex(w) ≤ i.
 type ISN struct {
-	first  []uint32 // per vertex: first IS neighbor or NoVertex
-	second []uint32 // per vertex: second IS neighbor (two-k only) or NoVertex
-	count  []uint32 // per IS vertex w: |{u : state(u)=A, ISN(u)={w}}|
-	two    bool
+	states States
+	slots  []uint32
+	shift  uint // log2 of the slots per vertex: 0 for one-k-swap, 1 for two-k-swap
 }
 
-// NewISN returns ISN storage for n vertices. two enables the second slot
-// (two-k-swap); one-k-swap uses a single slot.
-func NewISN(n int, two bool) *ISN {
-	isn := &ISN{
-		first: make([]uint32, n),
-		count: make([]uint32, n),
-		two:   two,
-	}
-	for i := range isn.first {
-		isn.first[i] = NoVertex
-	}
+// NewISN returns the slot array over states. two gives each vertex a second
+// slot (two-k-swap); one-k-swap uses one. The slots start at zero, which is
+// the count of every vertex already in the set.
+func NewISN(states States, two bool) *ISN {
+	var shift uint
 	if two {
-		isn.second = make([]uint32, n)
-		for i := range isn.second {
-			isn.second[i] = NoVertex
-		}
+		shift = 1
 	}
-	return isn
+	return &ISN{states: states, slots: make([]uint32, states.Len()<<shift), shift: shift}
 }
 
-// Reset clears all slots and counters.
-func (isn *ISN) Reset() {
-	for i := range isn.first {
-		isn.first[i] = NoVertex
-		isn.count[i] = 0
-	}
-	if isn.two {
-		for i := range isn.second {
-			isn.second[i] = NoVertex
-		}
-	}
-}
-
-// Set records u's IS neighbors (1 or 2 of them). A singleton {w} bumps w's
-// witness counter; a pair does not, since neither member alone can be
-// exchanged for u.
+// Set records the A vertex u's IS neighbors (1 or 2 of them, each in the
+// set). A singleton {w} bumps w's witness count; a pair does not, since
+// neither member alone can be exchanged for u.
 func (isn *ISN) Set(u uint32, w ...uint32) {
+	i := int(u) << isn.shift
 	switch len(w) {
 	case 1:
-		isn.first[u] = w[0]
-		isn.count[w[0]]++
+		isn.slots[i] = w[0]
+		if isn.shift == 1 {
+			isn.slots[i+1] = NoVertex
+		}
+		isn.slots[int(w[0])<<isn.shift]++
 	case 2:
-		if !isn.two {
+		if isn.shift == 0 {
 			panic("semiext: two IS neighbors on a one-slot ISN")
 		}
-		isn.first[u] = w[0]
-		isn.second[u] = w[1]
+		isn.slots[i], isn.slots[i+1] = w[0], w[1]
 	default:
 		panic("semiext: ISN.Set needs one or two neighbors")
 	}
 }
 
-// Clear removes u's ISN entries, decrementing the witness counter when the
-// entry was a singleton.
+// Clear retires the ISN of u, a vertex that was A until now: a singleton
+// {w} stops counting toward w's witnesses while w is I or R (rule 2). u's
+// slots are left stale.
 func (isn *ISN) Clear(u uint32) {
-	w1 := isn.first[u]
-	w2 := NoVertex
-	if isn.two {
-		w2 = isn.second[u]
+	i := int(u) << isn.shift
+	if isn.shift == 1 && isn.slots[i+1] != NoVertex {
+		return
 	}
-	if w1 != NoVertex && w2 == NoVertex && isn.count[w1] > 0 {
-		isn.count[w1]--
-	}
-	isn.first[u] = NoVertex
-	if isn.two {
-		isn.second[u] = NoVertex
+	w := isn.slots[i]
+	if s := isn.states.Get(w); s == StateIS || s == StateRetrograde {
+		isn.slots[int(w)<<isn.shift]--
 	}
 }
 
-// Get returns u's IS neighbors (0, 1 or 2 values).
+// Join moves v into the set with a zero witness count (rule 3).
+func (isn *ISN) Join(v uint32) {
+	isn.states.Set(v, StateIS)
+	isn.slots[int(v)<<isn.shift] = 0
+}
+
+// Get returns the A vertex u's IS neighbors: w1 and n = 1 for a singleton,
+// w1, w2 and n = 2 for a pair.
 func (isn *ISN) Get(u uint32) (w1, w2 uint32, n int) {
-	w1, w2 = isn.first[u], NoVertex
-	if isn.two {
-		w2 = isn.second[u]
+	i := int(u) << isn.shift
+	if isn.shift == 0 || isn.slots[i+1] == NoVertex {
+		return isn.slots[i], NoVertex, 1
 	}
-	switch {
-	case w1 == NoVertex && w2 == NoVertex:
-		return NoVertex, NoVertex, 0
-	case w2 == NoVertex:
-		return w1, NoVertex, 1
-	case w1 == NoVertex:
-		return w2, NoVertex, 1
-	default:
-		return w1, w2, 2
-	}
+	return isn.slots[i], isn.slots[i+1], 2
 }
 
-// Has reports whether w is one of u's recorded IS neighbors.
-func (isn *ISN) Has(u, w uint32) bool {
-	if isn.first[u] == w {
-		return true
+// PreimageCount returns |ISN⁻¹(w)| for a vertex w in state I or R: how many
+// A vertices name exactly {w}.
+func (isn *ISN) PreimageCount(w uint32) uint32 { return isn.slots[int(w)<<isn.shift] }
+
+// SetCarryIndex records, for the I vertex w of a two-slot ISN, its carry
+// index: how many A records the cross-round carry had buffered when its
+// collection scan reached w.
+func (isn *ISN) SetCarryIndex(w, index uint32) {
+	if isn.shift == 0 {
+		panic("semiext: carry index on a one-slot ISN")
 	}
-	return isn.two && isn.second[u] == w
+	isn.slots[int(w)<<1+1] = index
 }
 
-// PreimageCount returns |ISN⁻¹(w)|: how many A vertices currently name w.
-func (isn *ISN) PreimageCount(w uint32) uint32 { return isn.count[w] }
+// CarryIndex returns the carry index recorded for w, a vertex that has
+// stayed I or R since.
+func (isn *ISN) CarryIndex(w uint32) uint32 { return isn.slots[int(w)<<1+1] }
 
-// MemoryBytes returns the structure's in-memory size.
-func (isn *ISN) MemoryBytes() uint64 {
-	b := uint64(len(isn.first)+len(isn.count)) * 4
-	if isn.two {
-		b += uint64(len(isn.second)) * 4
-	}
-	return b
-}
+// MemoryBytes returns the slot array's in-memory size: 4 or 8 bytes per
+// vertex.
+func (isn *ISN) MemoryBytes() uint64 { return uint64(len(isn.slots)) * 4 }
