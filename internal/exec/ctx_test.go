@@ -75,33 +75,6 @@ func TestCtxCancelDrainsWorkers(t *testing.T) {
 	}
 }
 
-// TestCtxParityWithPlainScan: a never-canceled context changes nothing —
-// records, stats and completion match ForEachBatch for every worker count.
-func TestCtxParityWithPlainScan(t *testing.T) {
-	f := openBig(t)
-	ctx := context.Background()
-	for _, w := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			var plain, withCtx uint64
-			if err := New(f, w).ForEachBatchCtx(context.Background(), func(b []gio.Record) error {
-				plain += uint64(len(b))
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := New(f, w).ForEachBatchCtx(ctx, func(b []gio.Record) error {
-				withCtx += uint64(len(b))
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if plain != withCtx {
-				t.Fatalf("ctx scan delivered %d records, plain %d", withCtx, plain)
-			}
-		})
-	}
-}
-
 // splitFile writes f's records into k files of consecutive record ranges,
 // each keeping f's vertex count in its header as a shard does, and opens
 // them with nil counters: a merged executor accounts for the whole set.
