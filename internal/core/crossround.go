@@ -38,13 +38,13 @@ type carryCollector struct {
 	states semiext.States
 	buf    *semiext.RecordBuffer // the A records, budget-bounded
 
-	// index, for two-k-swap, receives each I vertex's carry index as a free
+	// isn, for two-k-swap, receives each I vertex's carry index as a free
 	// rider of every collection scan: the number of A records buffered
 	// before it. Two-k-swap's validating swap replay needs it to interleave
 	// the R vertices (which are not in the buffer — they were I at
 	// collection time) with the buffered P vertices in exact scan order.
 	// Nil for one-k-swap, which has no validating scan.
-	index *semiext.ISN
+	isn *semiext.ISN
 
 	collected bool
 }
@@ -56,13 +56,13 @@ type carryCollector struct {
 var carryBudget = func(n int) int { return 2*n + 1024 }
 
 // newCarryCollector returns a collector over the shared state array. A
-// non-nil index (two-k-swap's two-slot ISN) additionally receives every I
+// non-nil isn (two-k-swap's two-slot ISN) additionally receives every I
 // vertex's carry index.
-func newCarryCollector(states semiext.States, index *semiext.ISN) *carryCollector {
+func newCarryCollector(states semiext.States, isn *semiext.ISN) *carryCollector {
 	return &carryCollector{
 		states: states,
 		buf:    semiext.NewRecordBuffer(carryBudget(states.Len())),
-		index:  index,
+		isn:    isn,
 	}
 }
 
@@ -94,8 +94,8 @@ func (c *carryCollector) batch(batch []gio.Record) error {
 		case semiext.StateAdjacent:
 			c.buf.Append(r.ID, r.Neighbors)
 		case semiext.StateIS:
-			if c.index != nil {
-				c.index.SetCarryIndex(r.ID, uint32(c.buf.Len()))
+			if c.isn != nil {
+				c.isn.SetCarryIndex(r.ID, uint32(c.buf.Len()))
 			}
 		}
 	}
