@@ -85,6 +85,117 @@ func TestStatesPackedFootprint(t *testing.T) {
 	}
 }
 
+// TestISNSingle walks one-slot ISNs through singleton Set, Get and Clear:
+// a singleton bumps its IS neighbor's witness count, Clear decrements it
+// while that neighbor is I or R and leaves it alone once the neighbor has
+// left the set and reuses its slot as an A vertex (rule 2), and Join gives
+// a joining vertex a zero count whatever its slot held (rule 3).
+func TestISNSingle(t *testing.T) {
+	states := NewStates(10)
+	for v := uint32(0); v < 10; v++ {
+		states.Set(v, StateNonIS)
+	}
+	states.Set(5, StateIS)
+	states.Set(7, StateIS)
+	isn := NewISN(states, false)
+	for _, u := range []uint32{1, 2, 3} {
+		states.Set(u, StateAdjacent)
+	}
+	isn.Set(1, 5)
+	isn.Set(2, 5)
+	isn.Set(3, 7)
+	if isn.PreimageCount(5) != 2 || isn.PreimageCount(7) != 1 {
+		t.Fatalf("counts after Set = %d, %d, want 2, 1", isn.PreimageCount(5), isn.PreimageCount(7))
+	}
+	if w1, w2, n := isn.Get(1); n != 1 || w1 != 5 || w2 != NoVertex {
+		t.Fatalf("Get(1) = %d,%d,%d, want 5,NoVertex,1", w1, w2, n)
+	}
+
+	states.Set(1, StateConflict)
+	isn.Clear(1)
+	if isn.PreimageCount(5) != 1 {
+		t.Fatalf("Clear(1): count of 5 = %d, want 1", isn.PreimageCount(5))
+	}
+
+	// 5 leaves through R: the count is still decremented while it is R.
+	states.Set(5, StateRetrograde)
+	states.Set(2, StateNonIS)
+	isn.Clear(2)
+	if isn.PreimageCount(5) != 0 {
+		t.Fatalf("Clear(2) with 5 in R: count of 5 = %d, want 0", isn.PreimageCount(5))
+	}
+
+	// 7 leaves the set and becomes A naming 5's replacement 8; its slot now
+	// holds its ISN, which clearing its former namer 3 must not touch.
+	states.Set(5, StateNonIS)
+	states.Set(7, StateNonIS)
+	states.Set(8, StateIS)
+	states.Set(7, StateAdjacent)
+	isn.Set(7, 8)
+	states.Set(3, StateNonIS)
+	isn.Clear(3)
+	if w1, _, n := isn.Get(7); n != 1 || w1 != 8 {
+		t.Fatalf("Clear(3) after 7 left the set: Get(7) = %d (%d), want 8 (1)", w1, n)
+	}
+	if isn.PreimageCount(8) != 1 {
+		t.Fatalf("count of 8 = %d, want 1", isn.PreimageCount(8))
+	}
+
+	// 3's slot still holds its stale ISN {7}; joining zeroes it.
+	isn.Join(3)
+	if states.Get(3) != StateIS || isn.PreimageCount(3) != 0 {
+		t.Fatalf("Join(3): state %v, count %d, want I, 0", states.Get(3), isn.PreimageCount(3))
+	}
+}
+
+// TestISNPair walks a two-slot ISN through pair and singleton Sets on one
+// vertex: a pair bumps no witness count and its Clear decrements none, a
+// singleton written over a pair reads back as a singleton, and an I
+// vertex's carry index in its second slot leaves its count alone.
+func TestISNPair(t *testing.T) {
+	states := NewStates(10)
+	for v := uint32(0); v < 10; v++ {
+		states.Set(v, StateNonIS)
+	}
+	states.Set(4, StateIS)
+	states.Set(6, StateIS)
+	isn := NewISN(states, true)
+
+	states.Set(1, StateAdjacent)
+	isn.Set(1, 4, 6)
+	if isn.PreimageCount(4) != 0 || isn.PreimageCount(6) != 0 {
+		t.Fatal("pair Set must not bump witness counters")
+	}
+	if w1, w2, n := isn.Get(1); n != 2 || w1 != 4 || w2 != 6 {
+		t.Fatalf("Get(1) = %d,%d,%d, want 4,6,2", w1, w2, n)
+	}
+	states.Set(1, StateNonIS)
+	isn.Clear(1)
+	if isn.PreimageCount(4) != 0 || isn.PreimageCount(6) != 0 {
+		t.Fatal("pair Clear must not decrement witness counters")
+	}
+
+	// The post-swap recomputation turns 1 back into A with a singleton.
+	states.Set(1, StateAdjacent)
+	isn.Set(1, 4)
+	if w1, w2, n := isn.Get(1); n != 1 || w1 != 4 || w2 != NoVertex {
+		t.Fatalf("singleton after pair: Get(1) = %d,%d,%d, want 4,NoVertex,1", w1, w2, n)
+	}
+	if isn.PreimageCount(4) != 1 {
+		t.Fatalf("singleton after pair: count of 4 = %d, want 1", isn.PreimageCount(4))
+	}
+
+	isn.SetCarryIndex(4, 9)
+	if isn.CarryIndex(4) != 9 || isn.PreimageCount(4) != 1 {
+		t.Fatalf("SetCarryIndex(4, 9): carry %d, count %d, want 9, 1", isn.CarryIndex(4), isn.PreimageCount(4))
+	}
+	states.Set(1, StateProtected)
+	isn.Clear(1)
+	if isn.PreimageCount(4) != 0 || isn.CarryIndex(4) != 9 {
+		t.Fatalf("Clear(1): count %d, carry %d, want 0, 9", isn.PreimageCount(4), isn.CarryIndex(4))
+	}
+}
+
 func TestISNPanics(t *testing.T) {
 	isn := NewISN(NewStates(4), false)
 	mustPanic(t, func() { isn.Set(0, 1, 2) })        // pair on one-slot ISN
