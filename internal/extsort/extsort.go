@@ -113,8 +113,8 @@ type sorter struct {
 
 // read scans src once, buffering records and returning every vertex's
 // degree. It spills the buffer as a run whenever the next record would pass
-// the budget, and rejects a duplicated or missing vertex and a neighbor ID
-// out of range.
+// the budget, and rejects a duplicated or missing vertex; the decoder has
+// already rejected a neighbor ID out of range.
 func (s *sorter) read(src string) ([]uint32, error) {
 	in, err := gio.Open(src, s.opts.BlockSize, s.opts.Stats)
 	if err != nil {
@@ -135,11 +135,6 @@ func (s *sorter) read(src string) ([]uint32, error) {
 		for _, r := range batch {
 			if deg[r.ID] != unseen {
 				return fmt.Errorf("%w: %s: vertex %d appears twice", gio.ErrBadFormat, src, r.ID)
-			}
-			for _, v := range r.Neighbors {
-				if int(v) >= n {
-					return fmt.Errorf("%w: %s: vertex %d has out-of-range neighbor %d", gio.ErrBadFormat, src, r.ID, v)
-				}
 			}
 			deg[r.ID] = uint32(len(r.Neighbors))
 			if !s.buf.fits(len(r.Neighbors)) {

@@ -2,8 +2,10 @@ package extsort
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gio"
@@ -12,7 +14,8 @@ import (
 // FuzzSortByDegree sorts small random graphs at fuzzed budgets and fan-ins,
 // optionally with one injected defect. A valid input must come out byte for
 // byte as gio.WriteGraphSorted writes it; a defective one must fail with
-// gio.ErrBadFormat, never panic.
+// gio.ErrBadFormat, never panic, and an injected out-of-range neighbor must
+// be named with its vertex.
 func FuzzSortByDegree(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(40), uint16(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(63), uint8(200), uint16(64), uint8(2), uint8(4))
@@ -35,6 +38,7 @@ func FuzzSortByDegree(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		victim := uint32(rng.Intn(n))
 		other := (victim + 1) % uint32(n)
+		var want string // the error an injected neighbor must produce
 
 		dir := t.TempDir()
 		src := filepath.Join(dir, "in.adj")
@@ -56,6 +60,11 @@ func FuzzSortByDegree(f *testing.F) {
 				continue
 			case id == victim && defect == 3:
 				ns = append(ns, uint32(n+rng.Intn(3)))
+				want = fmt.Sprintf("vertex %d has out-of-range neighbor %d", id, ns[len(ns)-1])
+				if len(ns) >= n {
+					// A degree of |V| fails before the neighbors are read.
+					want = fmt.Sprintf("vertex %d has impossible degree %d", id, len(ns))
+				}
 			}
 			if err := w.Append(id, ns); err != nil {
 				t.Fatal(err)
@@ -68,8 +77,8 @@ func FuzzSortByDegree(f *testing.F) {
 		dst := filepath.Join(dir, "out.adj")
 		err = SortByDegree(src, dst, Options{MemoryBudget: int(budget), MaxFanIn: int(fanIn % 8)})
 		if defect != 0 {
-			if !errors.Is(err, gio.ErrBadFormat) {
-				t.Fatalf("defect %d on vertex %d: got %v, want gio.ErrBadFormat", defect, victim, err)
+			if !errors.Is(err, gio.ErrBadFormat) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("defect %d on vertex %d: got %v, want gio.ErrBadFormat with %q", defect, victim, err, want)
 			}
 			return
 		}

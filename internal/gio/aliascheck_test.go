@@ -4,13 +4,14 @@ import (
 	"testing"
 )
 
-// The arena-aliasing footgun, demonstrated and made loud: Record.Neighbors
-// is a view into per-batch storage (the shared arena, or the file mapping on
-// the mmap zero-copy path), so retaining a slice across batches silently
-// reads whatever the next batch decoded into the same storage. With
-// SetAliasCheck on, the scanner poisons outgoing arenas with AliasPoison at
-// every batch boundary, turning that silent corruption into an unmistakable
-// sentinel.
+// The batch-aliasing footgun, demonstrated and made loud: Record.Neighbors
+// is a view into per-batch storage (the pipelined engine's decode window
+// for raw records, the shared arena for compressed ones, or the file
+// mapping on the mmap zero-copy path), so retaining a slice across batches
+// silently reads whatever the next batch put into the same storage. With
+// SetAliasCheck on, the scanner poisons the outgoing window bytes and arena
+// with AliasPoison at every batch boundary, turning that silent corruption
+// into an unmistakable sentinel.
 
 // retainAcrossBatches scans path, illegally retains the first batch's first
 // non-empty Neighbors slice, and returns that slice's contents as observed

@@ -1,9 +1,7 @@
 package gio
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -165,6 +163,17 @@ func u32view(b []byte, n int) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), n)
 }
 
+// wordBytes is the inverse of u32view: the bytes under vs.
+func wordBytes(vs []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs))
+}
+
+// windowBuf returns an empty decode window of capacity c bytes (rounded up
+// to whole words) on 4-byte-aligned storage, which window views need.
+func windowBuf(c int) []byte {
+	return wordBytes(make([]uint32, (c+3)/4))[:0]
+}
+
 // maxUint32 returns the largest value in vs, 0 for an empty vs. Four
 // running maxima keep the loop off a single compare-and-move chain: this
 // loop is all the zero-copy engine does per neighbor.
@@ -180,8 +189,8 @@ func maxUint32(vs []uint32) uint32 {
 	return max(a, b, c, d)
 }
 
-// emptyNeighbors is the zero-length Neighbors slice of degree-0 records on
-// the zero-copy path, mirroring the arena path's non-nil empty view.
+// emptyNeighbors is the zero-length Neighbors slice of raw degree-0
+// records, which view no bytes of the window.
 var emptyNeighbors = []uint32{}
 
 // OpenMmap opens an adjacency file like Open, but backs every sequential
@@ -197,7 +206,7 @@ var emptyNeighbors = []uint32{}
 // On little-endian hosts, raw (uncompressed) batches from a mapped file
 // alias the mapping itself — Record.Neighbors points into the file's pages,
 // and no per-record copy happens at all. See SetMmapZeroCopy to disable the
-// aliasing (batches then decode into the arena as usual, still without the
+// aliasing (batches are then copied into the arena, still without the
 // prefetch copy).
 func OpenMmap(path string, blockSize int, stats *Counters) (*File, error) {
 	g, err := Open(path, blockSize, stats)
@@ -252,7 +261,7 @@ func (g *File) SetMmapZeroCopy(on bool) {
 // returns immediately (and fails the run's scans at their next boundary),
 // but the pages stay mapped until the pin is released, so batches already in
 // flight to the consumer stay readable. ok is false when the file is not
-// mapped (nothing to pin: batches are arena-backed) or the mapping is
+// mapped (nothing to pin: SwapBuffers copies window views) or the mapping is
 // already poisoned (the run's scans will fail fast anyway).
 func (g *File) PinMap() (release func(), ok bool) {
 	if g.mm == nil || !g.mm.acquire() {
@@ -279,9 +288,10 @@ func (g *File) newMappedScanner(startOff int64, startRec, limit uint64, detached
 	if g.mm.acquire() {
 		s.mref = &mapRef{mm: g.mm}
 		s.mdata = g.mm.data[startOff:]
-		// Aliasing stays exact because raw decoding only ever advances the
-		// window position by multiples of 4 from a 4-aligned start offset.
-		s.zerocopy = g.mm.zerocopy.Load() && g.header.Flags&FlagCompressed == 0 && startOff%4 == 0
+		// The views are word-aligned because raw decoding only ever advances
+		// the window position by multiples of 4 from a 4-aligned start
+		// offset (see ScanPartition).
+		s.views = g.mm.zerocopy.Load() && g.header.Flags&FlagCompressed == 0
 		// Backstop for scanners abandoned without draining or Close: when
 		// nothing can drive the scanner anymore, its reference must not keep
 		// the pages mapped forever. The cleanup holds only the mapRef, so it
@@ -342,73 +352,4 @@ func (s *Scanner) moreMapped() bool {
 	}
 	s.fetched += uint64(chunk)
 	return true
-}
-
-// fillRawZeroCopy is fillRaw for mapped raw files with aliasing on: instead
-// of bulk-converting neighbors into the arena, each record's Neighbors
-// slice reinterprets the mapping bytes in place. Validation, error
-// positions and batch cadence (record and neighbor-volume caps) match
-// fillRaw; only the arena traffic disappears.
-//
-// With no conversion loop to fold the neighbor range check into, it checks
-// the whole batch at once: a mapped window never moves, so the batch is one
-// run of 4-aligned words — record headers, whose IDs and degrees are
-// already in range, and neighbor lists — and one max over it clears every
-// neighbor. Only a failing batch is searched record by record, and cut
-// before its first offending record, as fillRaw would have stopped there.
-// The check runs before any failure releases the scan's mapping reference.
-func (s *Scanner) fillRawZeroCopy() {
-	start := s.pos
-	err := s.decodeRawViews()
-	vertices := s.file.header.Vertices
-	if uint64(maxUint32(u32view(s.win[start:], (s.pos-start)/4))) >= vertices {
-		for i, r := range s.recs {
-			if rerr := errNeighborRange(s.file.path, uint64(r.ID), r.Neighbors, vertices); rerr != nil {
-				s.read -= uint64(len(s.recs) - i)
-				s.recs = s.recs[:i]
-				err = rerr // precedes whatever stopped the decode loop
-				break
-			}
-		}
-	}
-	if err != nil {
-		s.fail(err)
-	}
-}
-
-// decodeRawViews is fillRawZeroCopy's decode loop, without the neighbor
-// range check. It returns the error that stopped it, leaving the failure to
-// the caller.
-func (s *Scanner) decodeRawViews() error {
-	h := s.file.header
-	vol := 0
-	for s.read < s.limit && len(s.recs) < batchMaxRecords && vol < batchTargetInts {
-		var id, deg uint64
-		if s.pending {
-			id, deg = s.pendingID, s.pendingDeg
-			s.pending = false
-		} else {
-			if err := s.ensure(8); err != nil {
-				return fmt.Errorf("%w: %s: record %d header: %v", ErrBadFormat, s.file.path, s.read, err)
-			}
-			id = uint64(binary.LittleEndian.Uint32(s.win[s.pos:]))
-			deg = uint64(binary.LittleEndian.Uint32(s.win[s.pos+4:]))
-			s.pos += 8
-			if id >= h.Vertices {
-				return fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id)
-			}
-			if deg >= s.file.degLimit {
-				return fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg)
-			}
-		}
-		n := int(deg)
-		if err := s.ensure(n * 4); err != nil {
-			return fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, id, err)
-		}
-		s.recs = append(s.recs, Record{ID: uint32(id), Neighbors: u32view(s.win[s.pos:], n)})
-		s.pos += n * 4
-		vol += n
-		s.read++
-	}
-	return nil
 }

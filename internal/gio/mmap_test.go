@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,11 +41,122 @@ func writeMmapTestFile(t testing.TB, dir string, n int, compressed bool) string 
 	return path
 }
 
-// TestMmapZeroCopyAliasesMapping proves the zero-copy path really is zero
-// copy: every raw Record.Neighbors slice points into the mapping, not into
-// the arena.
+// TestMmapZeroCopyAliasesMapping proves both raw engines really are zero
+// copy: every raw Record.Neighbors slice points into the pipelined engine's
+// decode window or into the mapping, never into the arena, and neither
+// engine allocates an arena at all. A compressed file still decodes into
+// the arena, and a batch taken through SwapBuffers owns its neighbors.
 func TestMmapZeroCopyAliasesMapping(t *testing.T) {
-	path := writeMmapTestFile(t, t.TempDir(), 5000, false)
+	dir := t.TempDir()
+	path := writeMmapTestFile(t, dir, 5000, false)
+	t.Run("pipelined", func(t *testing.T) {
+		if !canAliasUint32 {
+			t.Skip("window views unavailable (big-endian host)")
+		}
+		f, err := Open(path, 4096, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		full, err := f.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		for batch := full.NextBatch(); batch != nil; batch = full.NextBatch() {
+			for _, r := range batch {
+				records++
+				if len(r.Neighbors) > 0 && !within(r.Neighbors, full.win) {
+					t.Fatalf("record %d: neighbors outside the scanner's window", r.ID)
+				}
+			}
+		}
+		if err := full.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if records != 5000 {
+			t.Fatalf("scanned %d records, want 5000", records)
+		}
+		// Copying no neighbor, the engine allocates no arena: neither a full
+		// scan nor the partition scanners of a parallel one.
+		parts, err := f.Partitions(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Scanner{full, f.ScanPartition(parts[0]), f.ScanPartition(parts[1])} {
+			for s.NextBatch() != nil {
+			}
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if cap(s.arena) != 0 {
+				t.Fatalf("pipelined raw scanner allocated a %d-value arena", cap(s.arena))
+			}
+		}
+
+		// A batch handed over by SwapBuffers must survive the window being
+		// compacted and refilled under the batches decoded after it.
+		sc, err := f.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		var want []Record
+		for _, r := range sc.NextBatch() {
+			want = append(want, Record{ID: r.ID, Neighbors: append([]uint32(nil), r.Neighbors...)})
+		}
+		got, arena := sc.SwapBuffers(nil, nil)
+		for sc.NextBatch() != nil {
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("swapped batch has %d records, want %d", len(got), len(want))
+		}
+		for i, r := range got {
+			if r.ID != want[i].ID || !slices.Equal(r.Neighbors, want[i].Neighbors) {
+				t.Fatalf("swapped record %d changed after later batches: %v, want %v", i, r, want[i])
+			}
+			if len(r.Neighbors) > 0 && !within(r.Neighbors, wordBytes(arena)) {
+				t.Fatalf("swapped record %d: neighbors outside the returned arena", r.ID)
+			}
+		}
+
+		// Compressed records are materialized, so they land in the arena.
+		cf, err := Open(writeMmapTestFile(t, dir, 5000, true), 4096, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cf.Close()
+		csc, err := cf.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for batch := csc.NextBatch(); batch != nil; batch = csc.NextBatch() {
+			for _, r := range batch {
+				if len(r.Neighbors) > 0 && !within(r.Neighbors, wordBytes(csc.arena)) {
+					t.Fatalf("compressed record %d: neighbors outside the arena", r.ID)
+				}
+			}
+		}
+		if err := csc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("mmap", func(t *testing.T) {
+		testMmapZeroCopyAliasesMapping(t, path)
+	})
+}
+
+// within reports whether vs lies inside mem.
+func within(vs []uint32, mem []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(vs)))
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(mem)))
+	return p >= base && p+4*uintptr(len(vs)) <= base+uintptr(len(mem))
+}
+
+func testMmapZeroCopyAliasesMapping(t *testing.T, path string) {
 	f, err := OpenMmap(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -56,18 +168,12 @@ func TestMmapZeroCopyAliasesMapping(t *testing.T) {
 	if !f.MmapZeroCopy() {
 		t.Skip("zero-copy aliasing unavailable (big-endian host)")
 	}
-	base := uintptr(unsafe.Pointer(unsafe.SliceData(f.mm.data)))
-	end := base + uintptr(len(f.mm.data))
 	records := 0
 	err = f.ForEachBatch(func(batch []Record) error {
 		for _, r := range batch {
 			records++
-			if len(r.Neighbors) == 0 {
-				continue
-			}
-			p := uintptr(unsafe.Pointer(unsafe.SliceData(r.Neighbors)))
-			if p < base || p >= end {
-				return fmt.Errorf("record %d: neighbors at %#x outside mapping [%#x,%#x)", r.ID, p, base, end)
+			if len(r.Neighbors) > 0 && !within(r.Neighbors, f.mm.data) {
+				return fmt.Errorf("record %d: neighbors outside the mapping", r.ID)
 			}
 		}
 		return nil

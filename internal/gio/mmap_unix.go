@@ -26,10 +26,3 @@ func mapMem(f *os.File, size int64) ([]byte, error) {
 func unmapMem(data []byte) error {
 	return syscall.Munmap(data)
 }
-
-// adviseSequential hints the kernel that the mapping will be read front to
-// back, enabling aggressive readahead. Best effort: scan correctness never
-// depends on it.
-func adviseSequential(data []byte) {
-	_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
-}

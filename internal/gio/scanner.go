@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -226,39 +227,44 @@ func (g *File) setActive(pf *prefetcher, m *Scanner) {
 //
 // Neighbors is only valid until the scanner advances past the batch that
 // produced it: the next NextBatch/Next call, the return of the ForEachBatch
-// callback, or the end of the scan, whichever comes first. On the arena
-// path the next batch overwrites the storage (silent corruption for code
-// that retained a slice — see SetAliasCheck for a debug mode that poisons
-// reused arenas so such bugs fail loudly); on the mmap zero-copy path the
-// slice aliases the file mapping, which File.Close unmaps. Callers that
-// need a record past its batch must copy the Neighbors slice.
+// callback, or the end of the scan, whichever comes first. A raw record's
+// slice is a view of the pipelined engine's decode window on little-endian
+// hosts, which the next batch compacts and refills, and a compressed
+// record's slice a view of the arena, which the next batch overwrites:
+// silent corruption for code that retained a slice (see SetAliasCheck for a
+// debug mode that poisons both so such bugs fail loudly). On the mmap
+// zero-copy path the slice aliases the file mapping, which File.Close
+// unmaps. Callers that need a record past its batch must copy the Neighbors
+// slice.
 type Record struct {
 	ID        uint32
 	Neighbors []uint32
 }
 
-// AliasPoison is the sentinel SetAliasCheck fills reused neighbor arenas
+// AliasPoison is the sentinel SetAliasCheck fills outgoing neighbor storage
 // with: a Neighbors slice retained across batches reads as AliasPoison
 // values instead of plausible stale IDs.
 const AliasPoison uint32 = 0xA11A5BAD
 
-// aliasCheck enables arena poisoning between batches (see SetAliasCheck).
-// It is read on the scan path without synchronization: toggle it before
-// starting scans, not during them.
+// aliasCheck enables poisoning between batches (see SetAliasCheck). It is
+// read on the scan path without synchronization: toggle it before starting
+// scans, not during them.
 var aliasCheck = os.Getenv("GIO_ALIAS_CHECK") == "1"
 
 // SetAliasCheck toggles the batch-aliasing debug check. When on, every
-// batch boundary fills the outgoing batch's neighbor arena with AliasPoison
-// and quarantines it (the next batch decodes into fresh storage), so code
+// batch boundary fills the storage the outgoing batch's Neighbors slices
+// view — the neighbor arena, and the consumed bytes of the pipelined
+// engine's decode window — with AliasPoison and quarantines it (the next
+// batch decodes into a fresh arena and continues in a fresh window), so code
 // that illegally retains a Record.Neighbors slice across batches observes
 // an unmistakable sentinel forever after, instead of silently reading
-// whatever the next batch decoded into the same storage. The check costs an
-// arena-sized write plus fresh batch allocations per batch; it is meant for
-// tests and debugging, and can also be enabled with GIO_ALIAS_CHECK=1.
-// Toggle before scanning, not mid-scan. The check covers arena-backed
-// batches; on the mmap zero-copy path retained slices alias the read-only
-// file mapping instead, where File.Close already turns late reads into
-// faults rather than silent corruption.
+// whatever the next batch put into the same storage. The check costs a
+// write of the batch's storage plus fresh batch allocations per batch; it is
+// meant for tests and debugging, and can also be enabled with
+// GIO_ALIAS_CHECK=1. Toggle before scanning, not mid-scan. On the mmap
+// zero-copy path retained slices alias the read-only file mapping instead,
+// where File.Close already turns late reads into faults rather than silent
+// corruption.
 func SetAliasCheck(on bool) { aliasCheck = on }
 
 // Batch sizing for the block-pipelined decoder: a batch closes on whichever
@@ -281,13 +287,20 @@ type Scanner struct {
 	pos   int    // decode position within win
 	ioErr error  // terminal read error from the pipeline (io.EOF at EOF)
 
-	recs    []Record // current batch; Neighbors are views into arena
+	recs    []Record // current batch; Neighbors are views into win or arena
 	arena   []uint32 // neighbor storage shared by the whole batch
 	nextRec int      // Next()'s cursor within recs
 	rec     Record   // Next()'s current record
 
-	// A record header decoded right before the batch ran out of arena space
-	// is parked here so the next batch resumes without re-reading bytes.
+	// views marks a raw scan whose batches keep their Neighbors as views of
+	// the window (see fillRaw): little-endian hosts, unless the
+	// SetMmapZeroCopy(false) ablation turned it off. Otherwise each batch is
+	// copied into the arena.
+	views bool
+
+	// A record header decoded right before the batch ran out of window bytes
+	// (raw) or arena space (compressed) is parked here so the next batch
+	// resumes without re-reading bytes.
 	pending               bool
 	pendingID, pendingDeg uint64
 
@@ -320,7 +333,6 @@ type Scanner struct {
 	// scan itself releases mref.
 	mapped   bool
 	mdata    []byte
-	zerocopy bool // raw Neighbors alias the mapping (little-endian hosts)
 	mref     *mapRef
 	mstopreq atomic.Bool
 
@@ -359,7 +371,15 @@ func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
 		ctx:     ctx,
 		limit:   g.records,
 		baseOff: HeaderSize,
+		views:   g.windowViews(),
 	}, nil
+}
+
+// windowViews reports whether a pipelined scan of g hands out raw batches
+// as views of its window: the window holds the file's little-endian words,
+// so the views are exact on little-endian hosts only.
+func (g *File) windowViews() bool {
+	return canAliasUint32 && g.header.Flags&FlagCompressed == 0
 }
 
 // ScanPartition returns a detached scanner over one partition of the file
@@ -370,8 +390,12 @@ func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
 // per-worker engines of the parallel partitioned executor (internal/exec).
 // The caller must Close the scanner if it abandons it before the end of the
 // partition.
+//
+// A raw partition of a mapped file that does not start on a 4-byte
+// boundary (only a corrupt plan yields one) cannot be viewed in place, so
+// it is scanned through the pipelined engine, whose window starts aligned.
 func (g *File) ScanPartition(p Partition) *Scanner {
-	if g.mm != nil {
+	if g.mm != nil && (g.header.Flags&FlagCompressed != 0 || p.StartOffset%4 == 0) {
 		return g.newMappedScanner(p.StartOffset, p.StartRecord, p.StartRecord+p.Records, true)
 	}
 	return &Scanner{
@@ -381,6 +405,7 @@ func (g *File) ScanPartition(p Partition) *Scanner {
 		limit:    p.StartRecord + p.Records,
 		baseOff:  p.StartOffset,
 		detached: true,
+		views:    g.windowViews(),
 	}
 }
 
@@ -390,8 +415,14 @@ func (g *File) ScanPartition(p Partition) *Scanner {
 // that ship whole batches to another goroutine (the parallel executor):
 // the returned buffers stay valid indefinitely instead of being overwritten
 // by the following NextBatch. The replacement slices may be nil or of any
-// capacity; the scanner grows them as needed.
+// capacity; the scanner grows them as needed. A batch of views into the
+// pipelined engine's window, which the next batch refills, is first copied
+// into the arena; views into a mapping stay as they are, valid for as long
+// as the caller pins the mapping (File.PinMap).
 func (s *Scanner) SwapBuffers(recs []Record, arena []uint32) ([]Record, []uint32) {
+	if s.views && !s.mapped {
+		s.own()
+	}
 	oldRecs, oldArena := s.recs, s.arena
 	s.recs, s.arena = recs[:0], arena[:0]
 	s.nextRec = 0
@@ -474,18 +505,7 @@ func (s *Scanner) fillBatch() {
 		return
 	}
 	if aliasCheck {
-		// Quarantine the outgoing batch's storage: fill the arena with
-		// AliasPoison and decode the next batch into fresh slices. Poisoning
-		// alone is not enough — the next batch would overwrite the sentinel
-		// with its own plausible neighbor data — so the old arena is never
-		// reused, and a Neighbors slice illegally retained across batches
-		// keeps reading AliasPoison for the rest of the process.
-		p := s.arena[:cap(s.arena)]
-		for i := range p {
-			p[i] = AliasPoison
-		}
-		s.arena = make([]uint32, 0, cap(s.arena))
-		s.recs = make([]Record, 0, cap(s.recs))
+		s.quarantine()
 	}
 	s.arena = s.arena[:0]
 	if cap(s.recs) < batchMaxRecords {
@@ -496,8 +516,6 @@ func (s *Scanner) fillBatch() {
 	}
 	if s.file.header.Flags&FlagCompressed != 0 {
 		s.fillCompressed()
-	} else if s.zerocopy {
-		s.fillRawZeroCopy()
 	} else {
 		s.fillRaw()
 	}
@@ -506,50 +524,163 @@ func (s *Scanner) fillBatch() {
 	}
 }
 
-// fillRaw batch-decodes fixed-width records from the window.
+// quarantine is the alias check's batch boundary (see SetAliasCheck): it
+// fills the storage the outgoing batch's Neighbors may view with
+// AliasPoison and moves the scan to fresh storage. Poisoning alone is not
+// enough — the next batch would overwrite the sentinel with its own
+// plausible neighbor data — so the old arena and window are never reused,
+// and a Neighbors slice illegally retained across batches keeps reading
+// AliasPoison for the rest of the process. Every byte of the window before
+// the decode position is consumed, so the whole prefix is poisoned and only
+// the unconsumed tail moves. A mapped window is the read-only mapping and is
+// left alone.
+func (s *Scanner) quarantine() {
+	p := s.arena[:cap(s.arena)]
+	for i := range p {
+		p[i] = AliasPoison
+	}
+	s.arena = make([]uint32, 0, cap(s.arena))
+	s.recs = make([]Record, 0, cap(s.recs))
+	if s.views && !s.mapped && s.pos > 0 {
+		w := u32view(s.win, s.pos/4)
+		for i := range w {
+			w[i] = AliasPoison
+		}
+		s.win, s.pos = append(windowBuf(cap(s.win)), s.win[s.pos:]...), 0
+	}
+}
+
+// fillRaw batch-decodes fixed-width records: the raw decode loop of both
+// engines (decodeRaw), the refills between its runs, and the batch's
+// neighbor range check.
+//
+// The batch's Neighbors are views of the window. A mapped window never
+// moves, so a mapped batch refills as often as it needs; the pipelined
+// engine's window moves when it is compacted or grown, so its batch refills
+// only while it holds no records and otherwise ends where the window's
+// bytes run out, with a decoded header parked as pending. Either way the
+// batch is one run of 4-aligned words of the current window — record
+// headers, whose IDs and degrees are already in range, and neighbor lists —
+// and one max over the run clears every neighbor. Only a failing batch is
+// searched record by record, and cut before its first offending record,
+// which is where a record-at-a-time decoder would have stopped. The check
+// runs before any failure releases a mapped scan's mapping reference.
+//
+// Without views (big-endian hosts, the SetMmapZeroCopy(false) ablation)
+// the batch is copied into the arena, and the copy's max is the check.
 func (s *Scanner) fillRaw() {
-	h := s.file.header
-	for s.read < s.limit && len(s.recs) < batchMaxRecords && len(s.arena) < batchTargetInts {
-		var id, deg uint64
-		if s.pending {
-			id, deg = s.pendingID, s.pendingDeg
-			s.pending = false
-		} else {
-			if err := s.ensure(8); err != nil {
-				s.fail(fmt.Errorf("%w: %s: record %d header: %v", ErrBadFormat, s.file.path, s.read, err))
-				return
+	start, vol := s.pos, 0
+	var err error
+	for {
+		var need int
+		need, vol, err = s.decodeRaw(vol)
+		if need == 0 || err != nil || (len(s.recs) > 0 && !s.mapped) {
+			break
+		}
+		err = s.ensure(need)
+		if len(s.recs) == 0 {
+			start = s.pos // the refill may have moved the window
+		}
+		if err != nil {
+			if s.pending {
+				err = fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, s.pendingID, err)
+			} else {
+				err = fmt.Errorf("%w: %s: record %d header: %v", ErrBadFormat, s.file.path, s.read, err)
 			}
-			id = uint64(binary.LittleEndian.Uint32(s.win[s.pos:]))
-			deg = uint64(binary.LittleEndian.Uint32(s.win[s.pos+4:]))
-			s.pos += 8
-			if id >= h.Vertices {
-				s.fail(fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, s.read, id))
-				return
+			break
+		}
+	}
+	var hi uint32
+	if s.views {
+		hi = maxUint32(u32view(s.win[start:], (s.pos-start)/4))
+	} else {
+		hi = s.own()
+	}
+	if vertices := s.file.header.Vertices; uint64(hi) >= vertices {
+		for i, r := range s.recs {
+			if rerr := errNeighborRange(s.file.path, uint64(r.ID), r.Neighbors, vertices); rerr != nil {
+				s.read -= uint64(len(s.recs) - i)
+				s.recs = s.recs[:i]
+				err = rerr // precedes whatever stopped the decode loop
+				break
 			}
-			if deg >= s.file.degLimit {
-				s.fail(fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg))
-				return
+		}
+	}
+	if err != nil {
+		s.fail(err)
+	}
+}
+
+// decodeRaw is the raw decode loop. Starting with vol neighbors already in
+// the batch, it appends records whose Neighbors view the window's bytes
+// until the batch is full or the scan's records are done, and returns the
+// batch's neighbor count. It stops early at the first record the window
+// does not hold yet, returning how many more bytes from the decode position
+// that record needs (its header, or — with the header parked as pending —
+// its neighbors), and at a malformed header, returning the error.
+func (s *Scanner) decodeRaw(vol int) (int, int, error) {
+	var need int
+	var err error
+	win, pos, read, limit, recs := s.win, s.pos, s.read, s.limit, s.recs
+	vertices, degLimit := s.file.header.Vertices, s.file.degLimit
+	pending, id, deg := s.pending, s.pendingID, s.pendingDeg
+	for read < limit && len(recs) < batchMaxRecords && vol < batchTargetInts {
+		if !pending {
+			if len(win)-pos < 8 {
+				need = 8
+				break
+			}
+			id = uint64(binary.LittleEndian.Uint32(win[pos:]))
+			deg = uint64(binary.LittleEndian.Uint32(win[pos+4:]))
+			pos += 8
+			if id >= vertices {
+				err = fmt.Errorf("%w: %s: record %d has out-of-range id %d", ErrBadFormat, s.file.path, read, id)
+				break
+			}
+			if deg >= degLimit {
+				err = fmt.Errorf("%w: %s: vertex %d has impossible degree %d", ErrBadFormat, s.file.path, id, deg)
+				break
 			}
 		}
 		n := int(deg)
-		if !s.reserve(n) {
-			s.pending, s.pendingID, s.pendingDeg = true, id, deg
-			return
+		if len(win)-pos < 4*n {
+			pending, need = true, 4*n
+			break
 		}
-		if err := s.ensure(n * 4); err != nil {
-			s.fail(fmt.Errorf("%w: %s: vertex %d neighbors: %v", ErrBadFormat, s.file.path, id, err))
-			return
-		}
-		start := len(s.arena)
-		s.arena = s.arena[:start+n]
-		if hi := DecodeUint32s(s.arena[start:], s.win[s.pos:]); uint64(hi) >= h.Vertices {
-			s.fail(errNeighborRange(s.file.path, id, s.arena[start:], h.Vertices))
-			return
-		}
-		s.pos += n * 4
-		s.recs = append(s.recs, Record{ID: uint32(id), Neighbors: s.arena[start : start+n : start+n]})
-		s.read++
+		pending = false
+		recs = append(recs, Record{ID: uint32(id), Neighbors: u32view(win[pos:], n)})
+		pos += 4 * n
+		vol += n
+		read++
 	}
+	s.pos, s.read, s.recs = pos, read, recs
+	s.pending, s.pendingID, s.pendingDeg = pending, id, deg
+	return need, vol, err
+}
+
+// own copies the batch's Neighbors views into the arena, so the batch no
+// longer views the window, and returns the largest value copied (0 for no
+// neighbors). It decodes the views' bytes, which hold the file's
+// little-endian words on any host.
+func (s *Scanner) own() uint32 {
+	total := 0
+	for _, r := range s.recs {
+		total += len(r.Neighbors)
+	}
+	if cap(s.arena) < total {
+		s.arena = make([]uint32, 0, max(total, batchTargetInts))
+	}
+	arena := s.arena[:total]
+	var hi uint32
+	k := 0
+	for i, r := range s.recs {
+		n := len(r.Neighbors)
+		hi = max(hi, DecodeUint32s(arena[k:k+n], wordBytes(r.Neighbors)))
+		s.recs[i].Neighbors = arena[k : k+n : k+n]
+		k += n
+	}
+	s.arena = arena
+	return hi
 }
 
 // reserve ensures the arena can hold need more values without reallocating,
@@ -557,8 +688,9 @@ func (s *Scanner) fillRaw() {
 // With records already in the batch it refuses instead, so the caller closes
 // the batch and resumes into an empty (possibly grown) arena.
 //
-// A scanner is born without an arena and allocates it here on first use,
-// so a zero-copy mapped scan, which copies no neighbor, allocates none.
+// A scanner is born without an arena and allocates it on first use, here
+// or in own, so a raw scan of window views, which copies no neighbor,
+// allocates none.
 func (s *Scanner) reserve(need int) bool {
 	if len(s.arena)+need <= cap(s.arena) {
 		return true
@@ -636,17 +768,17 @@ func (s *Scanner) more() bool {
 	if len(blk.buf) == 0 {
 		return false
 	}
-	if s.pos > 0 {
-		if s.pos == len(s.win) {
-			s.win = s.win[:0]
-			s.pos = 0
-		} else if s.pos >= s.file.blockSize {
-			// Drop the consumed prefix only once it dominates the window, so
-			// a record straddling many blocks is not recopied per block.
-			n := copy(s.win, s.win[s.pos:])
-			s.win = s.win[:n]
-			s.pos = 0
-		}
+	if s.pos > 0 && s.pos >= len(s.win)-s.pos {
+		// Drop the consumed prefix once it outweighs the unconsumed bytes:
+		// the copy never exceeds what it frees, and a record straddling
+		// many blocks is not recopied per block.
+		n := copy(s.win, s.win[s.pos:])
+		s.win, s.pos = s.win[:n], 0
+	}
+	if n := len(s.win) + len(blk.buf); n > cap(s.win) {
+		// A quarter to spare, as append would grow it, so a window compacted
+		// to a partial record mostly takes the next block in place.
+		s.win = append(windowBuf(n+n/4), s.win...)
 	}
 	s.win = append(s.win, blk.buf...)
 	s.pf.recycle(blk.buf)
@@ -714,8 +846,11 @@ func (s *Scanner) close() {
 // DecodeUint32s decodes len(dst) little-endian uint32 values from src and
 // returns the largest of them (0 for an empty dst), so that a caller
 // decoding neighbor IDs range-checks the whole list with one comparison.
-// It is the single fixed-width decode loop, shared by the raw scan path,
-// the random-access reader and the external-sort run reader.
+// It is the single fixed-width copy loop, shared by the random-access
+// reader, the bytewise decoder and the external-sort run reader. The raw
+// scan path hands out views of its window instead and uses it only to copy
+// a batch out (see Scanner.own): on little-endian hosts for SwapBuffers and
+// the SetMmapZeroCopy(false) ablation, on big-endian hosts for every batch.
 func DecodeUint32s(dst []uint32, src []byte) uint32 {
 	src = src[:4*len(dst)]
 	// Two values per step, each into its own running maximum, re-slicing
@@ -748,18 +883,22 @@ func errNeighborRange(path string, id uint64, neighbors []uint32, n uint64) erro
 }
 
 // AppendRawRecord appends the raw (uncompressed) on-disk encoding of one
-// adjacency record to dst and returns the extended slice. It is the single
-// encoder for the raw record layout, shared by Writer and the external-sort
-// run writer.
+// adjacency record to dst and returns the extended slice, growing dst at
+// most once. It is the single encoder for the raw record layout, shared by
+// Writer and the external-sort run writer.
 func AppendRawRecord(dst []byte, id uint32, neighbors []uint32) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:], id)
+	n := len(dst)
+	dst = slices.Grow(dst, 8+4*len(neighbors))[:n+8+4*len(neighbors)]
+	b := dst[n:]
+	binary.LittleEndian.PutUint32(b, id)
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(neighbors)))
-	dst = append(dst, b[:]...)
-	for _, n := range neighbors {
-		var v [4]byte
-		binary.LittleEndian.PutUint32(v[:], n)
-		dst = append(dst, v[:]...)
+	b = b[8:]
+	if canAliasUint32 {
+		copy(b, wordBytes(neighbors)) // the host's words are the file's
+		return dst
+	}
+	for i, v := range neighbors {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
 	return dst
 }
@@ -785,7 +924,8 @@ func (g *File) ForEachCtx(ctx context.Context, fn func(Record) error) error {
 // ForEachBatch runs one full sequential scan, invoking fn for every decoded
 // batch of records in scan order. It is the fast path for scan-bound
 // algorithms: one callback per batch instead of per record, with the batch's
-// neighbor lists decoded back to back in one arena.
+// neighbor lists viewed in place in the window (raw) or decoded back to back
+// in one arena (compressed).
 func (g *File) ForEachBatch(fn func([]Record) error) error {
 	return g.ForEachBatchCtx(nil, fn)
 }

@@ -64,7 +64,9 @@ func NewWriter(path string, flags uint32, blockSize int, stats *Counters) (*Writ
 // Append writes the record for vertex id with the given neighbor list.
 // On a FlagCompressed writer the list is stored varint/delta encoded in
 // ascending ID order; otherwise it is stored verbatim. Either way the whole
-// record is encoded into a reusable scratch buffer and written in one call.
+// record is encoded first and written in one call: a raw record straight
+// into the buffered writer's free space when it fits there, any other
+// record into a reusable scratch buffer.
 func (w *Writer) Append(id uint32, neighbors []uint32) error {
 	if w.err != nil {
 		return w.err
@@ -72,14 +74,20 @@ func (w *Writer) Append(id uint32, neighbors []uint32) error {
 	if w.header.Flags&FlagCompressed != 0 {
 		return w.appendCompressed(id, neighbors)
 	}
-	w.buf = AppendRawRecord(w.buf[:0], id, neighbors)
-	if _, err := w.bw.Write(w.buf); err != nil {
+	rec := w.bw.AvailableBuffer()
+	if cap(rec) >= 8+4*len(neighbors) {
+		rec = AppendRawRecord(rec, id, neighbors)
+	} else {
+		w.buf = AppendRawRecord(w.buf[:0], id, neighbors)
+		rec = w.buf
+	}
+	if _, err := w.bw.Write(rec); err != nil {
 		w.err = err
 		return err
 	}
 	w.records++
 	w.degSum += uint64(len(neighbors))
-	w.observeCut(int64(len(w.buf)))
+	w.observeCut(int64(len(rec)))
 	return nil
 }
 
