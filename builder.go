@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"context"
 	"repro/internal/extsort"
 	"repro/internal/gio"
 	"repro/internal/graph"
@@ -87,8 +88,13 @@ func CompressFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	err = in.ForEach(func(r gio.Record) error {
-		return w.Append(r.ID, r.Neighbors)
+	err = in.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+		for _, r := range batch {
+			if err := w.Append(r.ID, r.Neighbors); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		w.Close()

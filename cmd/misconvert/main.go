@@ -103,7 +103,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			in.Close()
 			return fail(err)
 		}
-		err = in.ForEach(func(r gio.Record) error { return w.Append(r.ID, r.Neighbors) })
+		err = in.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+			for _, r := range batch {
+				if err := w.Append(r.ID, r.Neighbors); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		in.Close()
 		if err != nil {
 			w.Close()

@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		syncInterval = fs.Duration("sync-interval", 0, "group-commit time trigger (0 = off)")
 		keep         = fs.Int("keep-generations", 2, "compacted base generations to retain")
 		segSize      = fs.Int64("segment-size", 0, "journal segment rotation threshold in bytes (0 = 16MiB default, negative = never rotate on size)")
-		workers      = fs.Int("workers", 1, "scan parallelism for recovery/verify/compaction scans")
 		timeout      = fs.Duration("timeout", 0, "abort after this long (0 = no limit)")
 		repair       = fs.Bool("repair", true, "restore maximality before reporting (apply/verify)")
 	)
@@ -90,7 +89,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		mis.SyncInterval(*syncInterval),
 		mis.KeepGenerations(*keep),
 		mis.SegmentSize(*segSize),
-		mis.JournalWorkers(*workers),
 	}
 
 	fail := func(err error) int {

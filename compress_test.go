@@ -1,6 +1,7 @@
 package mis_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -52,27 +53,27 @@ func TestCompressedPipeline(t *testing.T) {
 	}
 
 	for _, alg := range []mis.Algorithm{mis.AlgGreedy, mis.AlgTwoKSwap, mis.AlgExternalMaximal} {
-		a, err := fr.Solve(alg, mis.SwapOptions{})
+		a, err := mis.NewSolver(fr).Solve(context.Background(), alg)
 		if err != nil {
 			t.Fatalf("%s raw: %v", alg, err)
 		}
-		b, err := fc.Solve(alg, mis.SwapOptions{})
+		b, err := mis.NewSolver(fc).Solve(context.Background(), alg)
 		if err != nil {
 			t.Fatalf("%s compressed: %v", alg, err)
 		}
 		if a.Size != b.Size {
 			t.Fatalf("%s: raw %d vs compressed %d", alg, a.Size, b.Size)
 		}
-		if err := fc.VerifyIndependent(b); err != nil {
+		if err := mis.NewSolver(fc).VerifyIndependent(context.Background(), b); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 	}
 
-	br, err := fr.UpperBound()
+	br, err := mis.NewSolver(fr).UpperBound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := fc.UpperBound()
+	bc, err := mis.NewSolver(fc).UpperBound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

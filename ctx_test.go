@@ -3,6 +3,7 @@ package mis_test
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -32,60 +33,6 @@ func openFile(t testing.TB, path string, opts ...mis.OpenOption) *mis.File {
 	}
 	t.Cleanup(func() { f.Close() })
 	return f
-}
-
-// TestSolverParityWithLegacy pins the acceptance criterion: every algorithm
-// run through the context-taking Solver API produces a bit-identical set to
-// the legacy context-free methods.
-func TestSolverParityWithLegacy(t *testing.T) {
-	path := genFile(t, 3000)
-	f := openFile(t, path)
-	ctx := context.Background()
-	solver := mis.NewSolver(f, mis.BaselineOnSorted())
-
-	for _, alg := range mis.Algorithms() {
-		var legacy, viaSolver *mis.Result
-		var err error
-		if alg == mis.AlgBaseline {
-			// The legacy path refuses baseline on a sorted file too; compare
-			// the opted-in solver against the greedy scan it aliases.
-			legacy, err = f.Greedy()
-		} else {
-			legacy, err = f.Solve(alg, mis.SwapOptions{})
-		}
-		if err != nil {
-			t.Fatalf("%s legacy: %v", alg, err)
-		}
-		viaSolver, err = solver.Solve(ctx, alg)
-		if err != nil {
-			t.Fatalf("%s solver: %v", alg, err)
-		}
-		if legacy.Size != viaSolver.Size {
-			t.Fatalf("%s: solver size %d, legacy %d", alg, viaSolver.Size, legacy.Size)
-		}
-		for v := range legacy.InSet {
-			if legacy.InSet[v] != viaSolver.InSet[v] {
-				t.Fatalf("%s: membership differs at vertex %d", alg, v)
-			}
-		}
-	}
-
-	// The dedicated seeded entry points as well.
-	seed, err := f.Greedy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneLegacy, err := f.OneKSwap(seed, mis.SwapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oneCtx, err := f.OneKSwapCtx(ctx, seed, mis.SwapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneLegacy.Size != oneCtx.Size {
-		t.Fatalf("one-k-swap: ctx size %d, legacy %d", oneCtx.Size, oneLegacy.Size)
-	}
 }
 
 // TestCancelMidScan cancels from inside a progress callback and requires the
@@ -128,26 +75,11 @@ func TestCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestDeadlineBeforeScan: an already-expired context fails without reading
-// the file.
-func TestDeadlineBeforeScan(t *testing.T) {
-	f := openFile(t, genFile(t, 200))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	time.Sleep(time.Millisecond)
-	if _, err := f.GreedyCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if st := f.Stats(); st.RecordsRead != 0 {
-		t.Fatalf("expired context still read %d records", st.RecordsRead)
-	}
-}
-
 // TestCancelSwapBetweenRounds cancels a swap run from a round callback: the
 // run must stop at the next round boundary with the ctx error.
 func TestCancelSwapBetweenRounds(t *testing.T) {
 	f := openFile(t, genFile(t, 3000))
-	seed, err := f.Greedy()
+	seed, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,16 +144,17 @@ func TestConcurrentSolvers(t *testing.T) {
 	path := genFile(t, 3000)
 	f := openFile(t, path)
 	ctx := context.Background()
+	ref := mis.NewSolver(f)
 
-	seed, err := f.Greedy()
+	seed, err := ref.Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOne, err := f.OneKSwap(seed, mis.SwapOptions{})
+	refOne, err := ref.OneKSwap(ctx, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTwo, err := f.TwoKSwap(seed, mis.SwapOptions{})
+	refTwo, err := ref.TwoKSwap(ctx, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +243,7 @@ func TestProgressEvents(t *testing.T) {
 // accounting.
 func TestRoundEvents(t *testing.T) {
 	f := openFile(t, genFile(t, 3000))
-	seed, err := f.Greedy()
+	seed, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,13 +273,11 @@ func TestRoundEvents(t *testing.T) {
 // descriptive error; the explicit opt-in and unsorted files work.
 func TestBaselineOnSortedGuard(t *testing.T) {
 	sorted := openFile(t, genFile(t, 500))
-	if _, err := sorted.Solve(mis.AlgBaseline, mis.SwapOptions{}); !errors.Is(err, mis.ErrBaselineOnSorted) {
+	ctx := context.Background()
+	if _, err := mis.NewSolver(sorted).Solve(ctx, mis.AlgBaseline); !errors.Is(err, mis.ErrBaselineOnSorted) {
 		t.Fatalf("err = %v, want ErrBaselineOnSorted", err)
 	}
-	if _, err := sorted.SolveCtx(context.Background(), mis.AlgBaseline, mis.SwapOptions{}); !errors.Is(err, mis.ErrBaselineOnSorted) {
-		t.Fatalf("ctx err = %v, want ErrBaselineOnSorted", err)
-	}
-	if _, err := mis.NewSolver(sorted, mis.BaselineOnSorted()).Solve(context.Background(), mis.AlgBaseline); err != nil {
+	if _, err := mis.NewSolver(sorted, mis.BaselineOnSorted()).Solve(ctx, mis.AlgBaseline); err != nil {
 		t.Fatalf("opt-in failed: %v", err)
 	}
 
@@ -355,54 +286,114 @@ func TestBaselineOnSortedGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	unsorted := openFile(t, unsortedPath)
-	if _, err := unsorted.Solve(mis.AlgBaseline, mis.SwapOptions{}); err != nil {
+	if _, err := mis.NewSolver(unsorted).Solve(ctx, mis.AlgBaseline); err != nil {
 		t.Fatalf("baseline on unsorted file: %v", err)
 	}
 }
 
-// TestCancelExtensions: the routed extension entry points honor contexts
-// too.
-func TestCancelExtensions(t *testing.T) {
-	f := openFile(t, genFile(t, 60000))
-	ctx, cancel := context.WithCancel(context.Background())
+// TestCancelEveryEntryPoint runs every entry point that scans — each
+// Solver call form, Solve for every algorithm included, and the
+// Maintainer's three scans — with a canceled context and with an expired
+// deadline, at 1 and 4 workers. Each must fail with the context's error
+// before reading a single record.
+func TestCancelEveryEntryPoint(t *testing.T) {
+	path := genFile(t, 2000)
+	ref := openFile(t, path)
+	bg := context.Background()
+	refSolver := mis.NewSolver(ref)
+	seed, err := refSolver.Greedy(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := refSolver.ColorByIS(bg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matPath := filepath.Join(t.TempDir(), "mat.adj")
+
+	// The calls run against s and m, which the loop below sets afresh for
+	// every run.
+	var s *mis.Solver
+	var m *mis.Maintainer
+	errOf := func(_ any, err error) error { return err }
+	calls := map[string]func(context.Context) error{
+		"Greedy":            func(ctx context.Context) error { return errOf(s.Greedy(ctx)) },
+		"OneKSwap":          func(ctx context.Context) error { return errOf(s.OneKSwap(ctx, seed)) },
+		"TwoKSwap":          func(ctx context.Context) error { return errOf(s.TwoKSwap(ctx, seed)) },
+		"DynamicUpdate":     func(ctx context.Context) error { return errOf(s.DynamicUpdate(ctx)) },
+		"ExternalMaximal":   func(ctx context.Context) error { return errOf(s.ExternalMaximal(ctx)) },
+		"RandomizedMaximal": func(ctx context.Context) error { return errOf(s.RandomizedMaximal(ctx, 7)) },
+		"UpperBound":        func(ctx context.Context) error { return errOf(s.UpperBound(ctx)) },
+		"WeiBound":          func(ctx context.Context) error { return errOf(s.WeiBound(ctx)) },
+		"Verify":            func(ctx context.Context) error { return s.Verify(ctx, seed) },
+		"VerifyIndependent": func(ctx context.Context) error { return s.VerifyIndependent(ctx, seed) },
+		"VerifyMaximal":     func(ctx context.Context) error { return s.VerifyMaximal(ctx, seed) },
+		"VerifyVertexCover": func(ctx context.Context) error { return s.VerifyVertexCover(ctx, seed.VertexCover()) },
+		"ColorByIS":         func(ctx context.Context) error { return errOf(s.ColorByIS(ctx, 0)) },
+		"VerifyColoring":    func(ctx context.Context) error { return s.VerifyColoring(ctx, col) },
+		// The Maintainer scans its file sequentially whatever the solver's
+		// worker count; its rows run at both counts all the same.
+		"Maintainer.Repair":      func(ctx context.Context) error { return errOf(m.Repair(ctx)) },
+		"Maintainer.Verify":      func(ctx context.Context) error { return m.Verify(ctx) },
+		"Maintainer.Materialize": func(ctx context.Context) error { return m.Materialize(ctx, matPath) },
+	}
+	for _, alg := range mis.Algorithms() {
+		calls["Solve/"+string(alg)] = func(ctx context.Context) error { return errOf(s.Solve(ctx, alg)) }
+	}
+	if len(calls) != 23 {
+		t.Fatalf("%d entry points in the table, want 23", len(calls))
+	}
+
+	canceled, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := f.RandomizedMaximalCtx(ctx, 7); !errors.Is(err, context.Canceled) {
-		t.Fatalf("randomized: err = %v", err)
+	expired, cancelExpired := context.WithDeadline(bg, time.Now().Add(-time.Second))
+	defer cancelExpired()
+	ctxs := []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"canceled", canceled, context.Canceled},
+		{"deadline", expired, context.DeadlineExceeded},
 	}
-	if _, err := f.WeiBoundCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("wei bound: err = %v", err)
+	for name, fn := range calls {
+		for _, c := range ctxs {
+			for _, workers := range []int{1, 4} {
+				f := openFile(t, path)
+				if m, err = mis.NewMaintainer(f, seed); err != nil {
+					t.Fatal(err)
+				}
+				// BaselineOnSorted lets Solve(baseline) reach its scan on the
+				// degree-sorted file.
+				s = mis.NewSolver(f, mis.Workers(workers), mis.BaselineOnSorted())
+				if err := fn(c.ctx); !errors.Is(err, c.want) {
+					t.Errorf("%s, %s, workers=%d: err = %v, want %v", name, c.name, workers, err, c.want)
+				}
+				if n := f.Stats().RecordsRead; n != 0 {
+					t.Errorf("%s, %s, workers=%d: read %d records", name, c.name, workers, n)
+				}
+			}
+		}
 	}
-	if _, err := f.ColorByISCtx(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("coloring: err = %v", err)
-	}
-	if err := f.VerifyVertexCoverCtx(ctx, make([]bool, f.NumVertices())); !errors.Is(err, context.Canceled) {
-		t.Fatalf("verify cover: err = %v", err)
-	}
-	if _, err := f.DynamicUpdateCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dynamic update: err = %v", err)
-	}
-	if _, err := f.ExternalMaximalCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("external maximal: err = %v", err)
-	}
-	if _, err := f.UpperBoundCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("upper bound: err = %v", err)
+	if _, err := os.Stat(matPath); !os.IsNotExist(err) {
+		t.Fatalf("a canceled Materialize left %s behind (stat: %v)", matPath, err)
 	}
 }
 
 // TestExtensionsUseWorkers: the extension entry points route through the
-// file's scan engine — a parallel file must produce identical results to the
-// sequential oracle (this is the satellite fix for extensions bypassing the
-// source selector).
+// solver's scan engine — a parallel solver must produce results identical to
+// the sequential oracle's.
 func TestExtensionsUseWorkers(t *testing.T) {
-	path := genFile(t, 3000)
-	seq := openFile(t, path) // workers = 1
-	par := openFile(t, path, mis.WithWorkers(4))
+	f := openFile(t, genFile(t, 3000))
+	ctx := context.Background()
+	seq := mis.NewSolver(f, mis.Workers(1))
+	par := mis.NewSolver(f, mis.Workers(4))
 
-	rs, err := seq.RandomizedMaximal(7)
+	rs, err := seq.RandomizedMaximal(ctx, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.RandomizedMaximal(7)
+	rp, err := par.RandomizedMaximal(ctx, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,11 +406,11 @@ func TestExtensionsUseWorkers(t *testing.T) {
 		}
 	}
 
-	ws, err := seq.WeiBound()
+	ws, err := seq.WeiBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := par.WeiBound()
+	wp, err := par.WeiBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +418,11 @@ func TestExtensionsUseWorkers(t *testing.T) {
 		t.Fatalf("wei bound: parallel %f, sequential %f", wp, ws)
 	}
 
-	cs, err := seq.ColorByIS(0)
+	cs, err := seq.ColorByIS(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := par.ColorByIS(0)
+	cp, err := par.ColorByIS(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,10 +434,10 @@ func TestExtensionsUseWorkers(t *testing.T) {
 			t.Fatalf("coloring: class differs at %d", v)
 		}
 	}
-	if err := par.VerifyColoring(cp); err != nil {
+	if err := par.VerifyColoring(ctx, cp); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.VerifyVertexCover(rp.VertexCover()); err != nil {
+	if err := par.VerifyVertexCover(ctx, rp.VertexCover()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package mis_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -30,19 +31,19 @@ func TestExactFacade(t *testing.T) {
 	if exact.Size != 2 {
 		t.Fatalf("C5 independence number = %d, want 2", exact.Size)
 	}
-	if err := f.VerifyIndependent(exact); err != nil {
+	if err := mis.NewSolver(f).VerifyIndependent(context.Background(), exact); err != nil {
 		t.Fatal(err)
 	}
 
 	// Greedy can't beat exact, and the bound can't be below it.
-	greedy, err := f.Greedy()
+	greedy, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if greedy.Size > exact.Size {
 		t.Fatalf("greedy %d beats exact %d", greedy.Size, exact.Size)
 	}
-	bound, err := f.UpperBound()
+	bound, err := mis.NewSolver(f).UpperBound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,16 @@ func Example() {
 	}
 	defer f.Close()
 
-	greedy, _ := f.Greedy()
-	better, _ := f.TwoKSwap(greedy, mis.SwapOptions{})
-	bound, _ := f.UpperBound()
+	ctx := context.Background()
+	solver := mis.NewSolver(f)
+	greedy, _ := solver.Greedy(ctx)
+	better, _ := solver.TwoKSwap(ctx, greedy)
+	bound, _ := solver.UpperBound(ctx)
 	fmt.Printf("greedy=%d two-k=%d bound=%d\n", greedy.Size, better.Size, bound)
 	// Output: greedy=4 two-k=4 bound=4
 }
 
-func ExampleFile_Greedy() {
+func ExampleSolver_Greedy() {
 	dir, _ := os.MkdirTemp("", "mis-example")
 	defer os.RemoveAll(dir)
 
@@ -54,12 +56,12 @@ func ExampleFile_Greedy() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	r, _ := f.Greedy()
+	r, _ := mis.NewSolver(f).Greedy(context.Background())
 	fmt.Println(r.Size, r.Vertices())
 	// Output: 4 [1 2 3 4]
 }
 
-func ExampleFile_Solve() {
+func ExampleSolver_Solve() {
 	dir, _ := os.MkdirTemp("", "mis-example")
 	defer os.RemoveAll(dir)
 
@@ -70,12 +72,12 @@ func ExampleFile_Solve() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	r, _ := f.Solve(mis.AlgBaseline, mis.SwapOptions{})
+	r, _ := mis.NewSolver(f).Solve(context.Background(), mis.AlgBaseline)
 	fmt.Println(r.Size, r.Vertices())
 	// Output: 2 [0 1]
 }
 
-func ExampleFile_OneKSwap() {
+func ExampleSolver_OneKSwap() {
 	dir, _ := os.MkdirTemp("", "mis-example")
 	defer os.RemoveAll(dir)
 
@@ -86,8 +88,10 @@ func ExampleFile_OneKSwap() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	baseline, _ := f.Solve(mis.AlgBaseline, mis.SwapOptions{})
-	improved, _ := f.OneKSwap(baseline, mis.SwapOptions{})
+	ctx := context.Background()
+	solver := mis.NewSolver(f)
+	baseline, _ := solver.Solve(ctx, mis.AlgBaseline)
+	improved, _ := solver.OneKSwap(ctx, baseline)
 	fmt.Printf("%d -> %d\n", baseline.Size, improved.Size)
 	// Output: 2 -> 4
 }
@@ -142,7 +146,7 @@ func ExampleSolver_Solve_deadline() {
 	// Output: false context deadline exceeded
 }
 
-func ExampleFile_ColorByIS() {
+func ExampleSolver_ColorByIS() {
 	dir, _ := os.MkdirTemp("", "mis-example")
 	defer os.RemoveAll(dir)
 
@@ -160,7 +164,7 @@ func ExampleFile_ColorByIS() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	col, _ := f.ColorByIS(0)
+	col, _ := mis.NewSolver(f).ColorByIS(context.Background(), 0)
 	fmt.Println(col.NumColors, col.ClassSizes)
 	// Output: 3 [2 2 1]
 }
@@ -174,7 +178,9 @@ func ExampleResult_VertexCover() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	r, _ := f.Greedy()
+	ctx := context.Background()
+	solver := mis.NewSolver(f)
+	r, _ := solver.Greedy(ctx)
 	cover := r.VertexCover()
 	// The complement of the maximum set {v2..v5} is the hub alone.
 	var members []int
@@ -183,7 +189,7 @@ func ExampleResult_VertexCover() {
 			members = append(members, v)
 		}
 	}
-	fmt.Println(members, f.VerifyVertexCover(cover) == nil)
+	fmt.Println(members, solver.VerifyVertexCover(ctx, cover) == nil)
 	// Output: [0] true
 }
 
@@ -196,7 +202,8 @@ func ExampleNewMaintainer() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	seed, _ := f.Greedy() // {1, 2, 3, 4}
+	ctx := context.Background()
+	seed, _ := mis.NewSolver(f).Greedy(ctx) // {1, 2, 3, 4}
 
 	m, err := mis.NewMaintainer(f, seed)
 	if err != nil {
@@ -206,7 +213,7 @@ func ExampleNewMaintainer() {
 	_ = m.InsertEdge(2, 3)
 	fmt.Println("after insert:", m.Size(), "evictions:", m.Evictions())
 	// ...and Repair restores maximality lazily with one scan.
-	added, _ := m.Repair()
+	added, _ := m.Repair(ctx)
 	fmt.Println("repair re-added:", added, "size:", m.Size())
 	// Output:
 	// after insert: 3 evictions: 1

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -48,6 +49,7 @@ func run(out io.Writer, n int) error {
 
 	// The hierarchy loop: solve MIS on the current level, then build the
 	// next level as the induced subgraph on the non-IS vertices.
+	ctx := context.Background()
 	level := 0
 	cur := base
 	fmt.Fprintf(out, "%5s %12s %12s %12s\n", "level", "|V|", "|E|", "|IS| taken")
@@ -62,17 +64,18 @@ func run(out io.Writer, n int) error {
 			f.Close()
 			break
 		}
-		greedy, err := f.Greedy()
+		solver := mis.NewSolver(f, mis.EarlyStop(3))
+		greedy, err := solver.Greedy(ctx)
 		if err != nil {
 			f.Close()
 			return err
 		}
-		set, err := f.TwoKSwap(greedy, mis.SwapOptions{EarlyStopRounds: 3})
+		set, err := solver.TwoKSwap(ctx, greedy)
 		if err != nil {
 			f.Close()
 			return err
 		}
-		if err := f.VerifyIndependent(set); err != nil {
+		if err := solver.VerifyIndependent(ctx, set); err != nil {
 			f.Close()
 			return err
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -88,15 +89,17 @@ func run(out io.Writer, nLabels int) error {
 	fmt.Fprintf(out, "conflict graph: %d candidate labels, %d overlaps\n",
 		f.NumVertices(), f.NumEdges())
 
-	greedy, err := f.Greedy()
+	ctx := context.Background()
+	solver := mis.NewSolver(f)
+	greedy, err := solver.Greedy(ctx)
 	if err != nil {
 		return err
 	}
-	two, err := f.TwoKSwap(greedy, mis.SwapOptions{})
+	two, err := solver.TwoKSwap(ctx, greedy)
 	if err != nil {
 		return err
 	}
-	bound, err := f.UpperBound()
+	bound, err := solver.UpperBound(ctx)
 	if err != nil {
 		return err
 	}
@@ -106,7 +109,7 @@ func run(out io.Writer, nLabels int) error {
 		two.Size, two.Size-greedy.Size, two.Rounds)
 	fmt.Fprintf(out, "upper bound:          %d labels → ratio %.3f\n", bound, two.Ratio(bound))
 
-	if err := f.VerifyIndependent(two); err != nil {
+	if err := solver.VerifyIndependent(ctx, two); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "verified: no two placed labels overlap")

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -70,7 +71,9 @@ func run(out io.Writer, n, workers int) error {
 		f.NumVertices(), f.NumEdges(), f.DegreeSorted(), f.Workers())
 
 	// Stage 2: one-scan greedy.
-	greedy, err := f.Greedy()
+	ctx := context.Background()
+	solver := mis.NewSolver(f)
+	greedy, err := solver.Greedy(ctx)
 	if err != nil {
 		return err
 	}
@@ -78,7 +81,7 @@ func run(out io.Writer, n, workers int) error {
 		greedy.Size, greedy.MemoryBytes, greedy.IO.PhysicalScans)
 
 	// Stage 3: swap refinement, still sequential scans only.
-	two, err := f.TwoKSwap(greedy, mis.SwapOptions{})
+	two, err := solver.TwoKSwap(ctx, greedy)
 	if err != nil {
 		return err
 	}
@@ -89,8 +92,8 @@ func run(out io.Writer, n, workers int) error {
 	fmt.Fprintf(out, "\nI/O ledger: %d physical scans (%d logical passes), %d records, %d bytes read, %d buffered blocks\n",
 		st.PhysicalScans, st.Scans, st.RecordsRead, st.BytesRead, st.BlocksRead)
 
-	// Independence and maximality fuse into one physical scan (File.Verify).
-	if err := f.Verify(two); err != nil {
+	// Independence and maximality fuse into one physical scan (Solver.Verify).
+	if err := solver.Verify(ctx, two); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "verified: independent and maximal")

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -44,7 +45,8 @@ func run(out io.Writer, users, updates, repairEvery int) error {
 		return err
 	}
 	defer f.Close()
-	seed, err := f.Greedy()
+	ctx := context.Background()
+	seed, err := mis.NewSolver(f).Greedy(ctx)
 	if err != nil {
 		return err
 	}
@@ -72,7 +74,7 @@ func run(out io.Writer, users, updates, repairEvery int) error {
 			return err
 		}
 		if i%repairEvery == 0 {
-			added, err := m.Repair()
+			added, err := m.Repair(ctx)
 			if err != nil {
 				return err
 			}
@@ -80,14 +82,14 @@ func run(out io.Writer, users, updates, repairEvery int) error {
 				i, m.Size(), m.Evictions(), added, m.DeltaEdges())
 		}
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.Verify(ctx); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "invariant verified: the maintained set is independent")
 
 	// How far did lazy maintenance drift from a fresh solve?
 	mat := filepath.Join(dir, "materialized.adj")
-	if err := m.Materialize(mat); err != nil {
+	if err := m.Materialize(ctx, mat); err != nil {
 		return err
 	}
 	mf, err := mis.Open(mat)
@@ -95,11 +97,12 @@ func run(out io.Writer, users, updates, repairEvery int) error {
 		return err
 	}
 	defer mf.Close()
-	fresh, err := mf.Greedy()
+	solver := mis.NewSolver(mf)
+	fresh, err := solver.Greedy(ctx)
 	if err != nil {
 		return err
 	}
-	improved, err := mf.TwoKSwap(fresh, mis.SwapOptions{})
+	improved, err := solver.TwoKSwap(ctx, fresh)
 	if err != nil {
 		return err
 	}

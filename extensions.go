@@ -1,38 +1,6 @@
 package mis
 
-import (
-	"context"
-
-	"repro/internal/core"
-)
-
-// RandomizedMaximal computes a maximal independent set with the randomized
-// external rounds of Abello, Buchsbaum and Westbrook (the paper's related
-// work [2]): random priorities, local minima join, O(log |V|) expected
-// sequential scans. Deterministic per seed for any worker count — like the
-// other algorithms it runs through the file's scan engine, so WithWorkers
-// parallelism applies.
-func (f *File) RandomizedMaximal(seed int64) (*Result, error) {
-	return f.RandomizedMaximalCtx(context.Background(), seed)
-}
-
-// RandomizedMaximalCtx is RandomizedMaximal bound to a context (see
-// GreedyCtx).
-func (f *File) RandomizedMaximalCtx(ctx context.Context, seed int64) (*Result, error) {
-	return NewSolver(f).RandomizedMaximal(ctx, seed)
-}
-
-// WeiBound returns Wei's degree-based lower bound on the independence
-// number, Σ_v 1/(deg(v)+1), with one sequential scan. Every maximal
-// independent set this library produces is at least this large.
-func (f *File) WeiBound() (float64, error) {
-	return f.WeiBoundCtx(context.Background())
-}
-
-// WeiBoundCtx is WeiBound bound to a context.
-func (f *File) WeiBoundCtx(ctx context.Context) (float64, error) {
-	return NewSolver(f).WeiBound(ctx)
-}
+import "repro/internal/core"
 
 // VertexCover returns the complement of the result as a vertex cover: every
 // edge has at least one endpoint in it. The cover is minimal when the
@@ -41,17 +9,7 @@ func (r *Result) VertexCover() []bool {
 	return core.VertexCover(r.InSet)
 }
 
-// VerifyVertexCover checks that every edge of f has an endpoint in cover.
-func (f *File) VerifyVertexCover(cover []bool) error {
-	return f.VerifyVertexCoverCtx(context.Background(), cover)
-}
-
-// VerifyVertexCoverCtx is VerifyVertexCover bound to a context.
-func (f *File) VerifyVertexCoverCtx(ctx context.Context, cover []bool) error {
-	return NewSolver(f).VerifyVertexCover(ctx, cover)
-}
-
-// Coloring is a proper vertex coloring produced by ColorByIS.
+// Coloring is a proper vertex coloring produced by Solver.ColorByIS.
 type Coloring struct {
 	// Colors maps vertex ID to its 0-based color class.
 	Colors []uint32
@@ -59,29 +17,4 @@ type Coloring struct {
 	NumColors int
 	// ClassSizes is the population of each class.
 	ClassSizes []int
-}
-
-// ColorByIS builds a proper coloring by repeatedly extracting a maximal
-// independent set and assigning it the next color — one sequential scan per
-// class, O(|V|) memory (the graph-coloring extension the paper's conclusion
-// proposes). maxColors caps the classes (0 = unlimited); exceeding the cap
-// is an error.
-func (f *File) ColorByIS(maxColors int) (*Coloring, error) {
-	return f.ColorByISCtx(context.Background(), maxColors)
-}
-
-// ColorByISCtx is ColorByIS bound to a context: cancellation stops within
-// one decoded batch of the current class's scan.
-func (f *File) ColorByISCtx(ctx context.Context, maxColors int) (*Coloring, error) {
-	return NewSolver(f).ColorByIS(ctx, maxColors)
-}
-
-// VerifyColoring checks that the coloring is proper and complete for f.
-func (f *File) VerifyColoring(col *Coloring) error {
-	return f.VerifyColoringCtx(context.Background(), col)
-}
-
-// VerifyColoringCtx is VerifyColoring bound to a context.
-func (f *File) VerifyColoringCtx(ctx context.Context, col *Coloring) error {
-	return NewSolver(f).VerifyColoring(ctx, col)
 }

@@ -1,6 +1,7 @@
 package mis_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -23,14 +24,16 @@ func plrgFile(t *testing.T, n int, beta float64, seed int64) *mis.File {
 
 func TestRandomizedMaximalFacade(t *testing.T) {
 	f := plrgFile(t, 2000, 2.0, 4)
-	r, err := f.RandomizedMaximal(42)
+	ctx := context.Background()
+	s := mis.NewSolver(f)
+	r, err := s.RandomizedMaximal(ctx, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.VerifyIndependent(r); err != nil {
+	if err := s.VerifyIndependent(ctx, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.VerifyMaximal(r); err != nil {
+	if err := s.VerifyMaximal(ctx, r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Rounds == 0 {
@@ -40,18 +43,20 @@ func TestRandomizedMaximalFacade(t *testing.T) {
 
 func TestWeiBoundFacade(t *testing.T) {
 	f := plrgFile(t, 2000, 2.0, 4)
-	wb, err := f.WeiBound()
+	ctx := context.Background()
+	s := mis.NewSolver(f)
+	wb, err := s.WeiBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := f.Greedy()
+	greedy, err := s.Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if float64(greedy.Size) < wb {
 		t.Fatalf("greedy %d below Wei bound %f", greedy.Size, wb)
 	}
-	bound, err := f.UpperBound()
+	bound, err := s.UpperBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +67,14 @@ func TestWeiBoundFacade(t *testing.T) {
 
 func TestVertexCoverFacade(t *testing.T) {
 	f := plrgFile(t, 1500, 2.2, 5)
-	greedy, err := f.Greedy()
+	ctx := context.Background()
+	s := mis.NewSolver(f)
+	greedy, err := s.Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cover := greedy.VertexCover()
-	if err := f.VerifyVertexCover(cover); err != nil {
+	if err := s.VerifyVertexCover(ctx, cover); err != nil {
 		t.Fatal(err)
 	}
 	inCover := 0
@@ -83,11 +90,13 @@ func TestVertexCoverFacade(t *testing.T) {
 
 func TestColoringFacade(t *testing.T) {
 	f := plrgFile(t, 1500, 2.0, 6)
-	col, err := f.ColorByIS(0)
+	ctx := context.Background()
+	s := mis.NewSolver(f)
+	col, err := s.ColorByIS(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.VerifyColoring(col); err != nil {
+	if err := s.VerifyColoring(ctx, col); err != nil {
 		t.Fatal(err)
 	}
 	if col.NumColors < 2 {
@@ -106,7 +115,8 @@ func TestColoringFacade(t *testing.T) {
 
 func TestMaintainerFacade(t *testing.T) {
 	f := plrgFile(t, 1000, 2.0, 7)
-	greedy, err := f.Greedy()
+	ctx := context.Background()
+	greedy, err := mis.NewSolver(f).Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +135,10 @@ func TestMaintainerFacade(t *testing.T) {
 	if m.Size() != greedy.Size-1 || m.Evictions() != 1 {
 		t.Fatalf("eviction bookkeeping wrong: size=%d evictions=%d", m.Size(), m.Evictions())
 	}
-	if _, err := m.Repair(); err != nil {
+	if _, err := m.Repair(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.Verify(ctx); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Result()
@@ -137,7 +147,7 @@ func TestMaintainerFacade(t *testing.T) {
 	}
 	// Materialize and re-open.
 	path := filepath.Join(t.TempDir(), "mat.adj")
-	if err := m.Materialize(path); err != nil {
+	if err := m.Materialize(ctx, path); err != nil {
 		t.Fatal(err)
 	}
 	mf, err := mis.Open(path)
@@ -145,7 +155,7 @@ func TestMaintainerFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mf.Close()
-	if err := mf.VerifyIndependent(snap); err != nil {
+	if err := mis.NewSolver(mf).VerifyIndependent(ctx, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mis.NewMaintainer(f, nil); err == nil {

@@ -2,7 +2,6 @@ package mis
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -14,16 +13,16 @@ import (
 // algorithms scan. It accumulates I/O statistics across every operation run
 // against it.
 //
-// File is safe for concurrent use: every algorithm run scans through its own
-// view of the file (reads are positional) and accounts into its own stat
-// scope, which merges atomically into the file's lifetime totals. Any number
-// of solvers — or the context-free convenience methods below — may run
+// File runs no algorithm itself: a Solver over it does. File is safe for
+// concurrent use: every algorithm run scans through its own view of the file
+// (reads are positional) and accounts into its own stat scope, which merges
+// atomically into the file's lifetime totals. Any number of solvers may run
 // against one File from different goroutines.
 type File struct {
 	inner   *gio.File  // single adjacency file; nil when sharded
 	shards  *shard.Set // shard set (see OpenSharded); nil for single files
 	stats   gio.Counters
-	workers atomic.Int32
+	workers int // the default scan parallelism (WithWorkers)
 }
 
 // OpenOption customizes Open.
@@ -47,8 +46,7 @@ func WithBlockSize(b int) OpenOption {
 // bounds). Results are bit-identical to sequential scans — partitions are
 // merged back into scan order — so this is purely a throughput knob. 1 (the
 // default) keeps every pass on the single-stream engine; ≤ 0 selects
-// GOMAXPROCS. See SwapOptions.Workers and the Workers solver option for
-// per-call overrides.
+// GOMAXPROCS. The Workers solver option overrides it per solver.
 func WithWorkers(n int) OpenOption {
 	return func(c *openConfig) { c.workers = n }
 }
@@ -74,8 +72,7 @@ func Open(path string, opts ...OpenOption) (*File, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	f := &File{}
-	f.workers.Store(int32(cfg.workers))
+	f := &File{workers: cfg.workers}
 	open := gio.Open
 	if cfg.mmap {
 		open = gio.OpenMmap
@@ -99,11 +96,8 @@ func (f *File) MmapActive() bool {
 	return f.inner.MmapActive()
 }
 
-// SetWorkers changes the file's default scan parallelism (see WithWorkers).
-func (f *File) SetWorkers(n int) { f.workers.Store(int32(n)) }
-
 // Workers returns the file's default scan parallelism.
-func (f *File) Workers() int { return int(f.workers.Load()) }
+func (f *File) Workers() int { return f.workers }
 
 // runSource returns the scan engine for one algorithm run: a view of the
 // file accounting into a fresh per-run stat scope (whose every addition also
@@ -208,116 +202,3 @@ func (f *File) Stats() IOStats { return IOStats(f.stats.Snapshot()) }
 
 // ResetStats zeroes the accumulated I/O statistics.
 func (f *File) ResetStats() { f.stats.Reset() }
-
-// Greedy runs Algorithm 1 (one sequential scan; a maximal independent set).
-// On a degree-sorted file this is the paper's GREEDY; on an unsorted file it
-// is the BASELINE competitor.
-func (f *File) Greedy() (*Result, error) {
-	return f.GreedyCtx(context.Background())
-}
-
-// GreedyCtx is Greedy bound to a context: cancellation or deadline expiry
-// stops the scan within one decoded batch and the error wraps ctx.Err()
-// together with the scan position.
-func (f *File) GreedyCtx(ctx context.Context) (*Result, error) {
-	return NewSolver(f).Greedy(ctx)
-}
-
-// OneKSwap runs Algorithm 2 starting from the given independent set
-// (typically a Greedy result).
-func (f *File) OneKSwap(initial *Result, opts SwapOptions) (*Result, error) {
-	return f.OneKSwapCtx(context.Background(), initial, opts)
-}
-
-// OneKSwapCtx is OneKSwap bound to a context (see GreedyCtx).
-func (f *File) OneKSwapCtx(ctx context.Context, initial *Result, opts SwapOptions) (*Result, error) {
-	return opts.solver(f).OneKSwap(ctx, initial)
-}
-
-// TwoKSwap runs Algorithms 3–4 starting from the given independent set.
-func (f *File) TwoKSwap(initial *Result, opts SwapOptions) (*Result, error) {
-	return f.TwoKSwapCtx(context.Background(), initial, opts)
-}
-
-// TwoKSwapCtx is TwoKSwap bound to a context (see GreedyCtx).
-func (f *File) TwoKSwapCtx(ctx context.Context, initial *Result, opts SwapOptions) (*Result, error) {
-	return opts.solver(f).TwoKSwap(ctx, initial)
-}
-
-// DynamicUpdate runs the classical in-memory greedy. It loads the whole
-// graph into memory first — the scalability limitation the paper's
-// algorithms remove — so expect it to fail on graphs that do not fit.
-func (f *File) DynamicUpdate() (*Result, error) {
-	return f.DynamicUpdateCtx(context.Background())
-}
-
-// DynamicUpdateCtx is DynamicUpdate bound to a context: the whole-graph load
-// is canceled between batches.
-func (f *File) DynamicUpdateCtx(ctx context.Context) (*Result, error) {
-	return NewSolver(f).DynamicUpdate(ctx)
-}
-
-// ExternalMaximal computes a maximal independent set by time-forward
-// processing through an external priority queue (the paper's STXXL
-// competitor).
-func (f *File) ExternalMaximal() (*Result, error) {
-	return f.ExternalMaximalCtx(context.Background())
-}
-
-// ExternalMaximalCtx is ExternalMaximal bound to a context (see GreedyCtx).
-func (f *File) ExternalMaximalCtx(ctx context.Context) (*Result, error) {
-	return NewSolver(f).ExternalMaximal(ctx)
-}
-
-// UpperBound runs Algorithm 5: a one-scan upper bound on the independence
-// number, the denominator of the paper's approximation ratios.
-func (f *File) UpperBound() (uint64, error) {
-	return f.UpperBoundCtx(context.Background())
-}
-
-// UpperBoundCtx is UpperBound bound to a context (see GreedyCtx).
-func (f *File) UpperBoundCtx(ctx context.Context) (uint64, error) {
-	return NewSolver(f).UpperBound(ctx)
-}
-
-// VerifyIndependent checks that no edge has both endpoints in the result.
-func (f *File) VerifyIndependent(r *Result) error {
-	return f.VerifyIndependentCtx(context.Background(), r)
-}
-
-// VerifyIndependentCtx is VerifyIndependent bound to a context.
-func (f *File) VerifyIndependentCtx(ctx context.Context, r *Result) error {
-	return NewSolver(f).VerifyIndependent(ctx, r)
-}
-
-// VerifyMaximal checks that every vertex outside the result has a neighbor
-// inside it.
-func (f *File) VerifyMaximal(r *Result) error {
-	return f.VerifyMaximalCtx(context.Background(), r)
-}
-
-// VerifyMaximalCtx is VerifyMaximal bound to a context.
-func (f *File) VerifyMaximalCtx(ctx context.Context, r *Result) error {
-	return NewSolver(f).VerifyMaximal(ctx, r)
-}
-
-// Verify checks independence and maximality together. The two checks are
-// logical passes the scan scheduler fuses into a single physical scan —
-// half the I/O of calling VerifyIndependent and VerifyMaximal back to back
-// — with an independence violation reported first, exactly as the
-// sequential calls would.
-func (f *File) Verify(r *Result) error {
-	return f.VerifyCtx(context.Background(), r)
-}
-
-// VerifyCtx is Verify bound to a context.
-func (f *File) VerifyCtx(ctx context.Context, r *Result) error {
-	return NewSolver(f).Verify(ctx, r)
-}
-
-// solver builds the Solver equivalent of a legacy SwapOptions call: the
-// swap tuning carries over and the per-call Workers override becomes the
-// solver's worker count.
-func (o SwapOptions) solver(f *File) *Solver {
-	return &Solver{f: f, cfg: solverConfig{swap: o, workers: o.Workers}}
-}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func AblationIO(cfg *Config) error {
 			return err
 		}
 		start := time.Now()
-		r, err := core.Greedy(f)
+		r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 		elapsed := time.Since(start)
 		f.Close()
 		if err != nil {
@@ -59,19 +60,19 @@ func AblationEarlyStop(cfg *Config) error {
 		return err
 	}
 	defer f.Close()
-	greedy, err := core.Greedy(f)
+	greedy, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 	if err != nil {
 		return err
 	}
 	cfg.printf("Ablation: early stop — two-k-swap size by round budget (greedy seed %d)\n", greedy.Size)
 	cfg.printf("%12s %10s %12s %10s\n", "budget", "|IS|", "gain kept", "rounds")
-	full, err := core.TwoKSwap(f, greedy.InSet, core.SwapOptions{})
+	full, err := core.TwoKSwapCtx(context.Background(), f, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
 	fullGain := full.Size - greedy.Size
 	for _, budget := range []int{1, 2, 3} {
-		r, err := core.TwoKSwap(f, greedy.InSet, core.SwapOptions{EarlyStopRounds: budget})
+		r, err := core.TwoKSwapCtx(context.Background(), f, greedy.InSet, core.SwapOptions{EarlyStopRounds: budget}, core.Hooks{})
 		if err != nil {
 			return err
 		}
@@ -110,19 +111,19 @@ func AblationSort(cfg *Config) error {
 	}
 	defer fu.Close()
 
-	g, err := core.Greedy(fs)
+	g, err := core.GreedyCtx(context.Background(), fs, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	b, err := core.Baseline(fu)
+	b, err := core.GreedyCtx(context.Background(), fu, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	bSwap, err := core.TwoKSwap(fu, b.InSet, core.SwapOptions{})
+	bSwap, err := core.TwoKSwapCtx(context.Background(), fu, b.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	gSwap, err := core.TwoKSwap(fs, g.InSet, core.SwapOptions{})
+	gSwap, err := core.TwoKSwapCtx(context.Background(), fs, g.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
@@ -157,7 +158,7 @@ func AblationRandomAccess(cfg *Config) error {
 		return err
 	}
 	defer f.Close()
-	g, err := core.Greedy(f)
+	g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 	if err != nil {
 		return err
 	}
@@ -195,10 +196,10 @@ func AblationPQ(cfg *Config) error {
 			return err
 		}
 		start := time.Now()
-		r, err := core.ExternalMaximal(f, core.ExternalMaximalOptions{
+		r, err := core.ExternalMaximalCtx(context.Background(), f, core.ExternalMaximalOptions{
 			PQMemoryCapacity: capacity,
 			TempDir:          cfg.WorkDir,
-		})
+		}, core.Hooks{})
 		elapsed := time.Since(start)
 		f.Close()
 		if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strconv"
 	"time"
 
@@ -75,19 +76,19 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := core.Baseline(fu)
+	base, err := core.GreedyCtx(context.Background(), fu, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
 	}
 	run.baseline = base.Size
-	oneB, err := core.OneKSwap(fu, base.InSet, core.SwapOptions{})
+	oneB, err := core.OneKSwapCtx(context.Background(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
 	}
 	run.oneAfterBase = oneB.Size
-	twoB, err := core.TwoKSwap(fu, base.InSet, core.SwapOptions{})
+	twoB, err := core.TwoKSwapCtx(context.Background(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
@@ -95,7 +96,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.twoAfterBase = twoB.Size
 
 	start := time.Now()
-	ext, err := core.ExternalMaximal(fu, core.ExternalMaximalOptions{TempDir: cfg.WorkDir})
+	ext, err := core.ExternalMaximalCtx(context.Background(), fu, core.ExternalMaximalOptions{TempDir: cfg.WorkDir}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
@@ -114,7 +115,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.vertices = fs.NumVertices()
 
 	start = time.Now()
-	greedy, err := core.Greedy(fs)
+	greedy, err := core.GreedyCtx(context.Background(), fs, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.memGreedy = greedy.MemoryBytes
 
 	start = time.Now()
-	one, err := core.OneKSwap(fs, greedy.InSet, core.SwapOptions{})
+	one, err := core.OneKSwapCtx(context.Background(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +135,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.gainsOne = one.RoundGains
 
 	start = time.Now()
-	two, err := core.TwoKSwap(fs, greedy.InSet, core.SwapOptions{})
+	two, err := core.TwoKSwapCtx(context.Background(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +145,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.roundsTwo = two.Rounds
 	run.scPeakTwo = two.SCHighWater
 
-	bound, err := core.UpperBound(fs)
+	bound, err := core.UpperBoundCtx(context.Background(), fs, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +326,7 @@ func Fig5(cfg *Config) error {
 		for _, c := range plrg.CascadeCenters(k) {
 			init[c] = true
 		}
-		r, err := core.OneKSwap(f, init, core.SwapOptions{})
+		r, err := core.OneKSwapCtx(context.Background(), f, init, core.SwapOptions{}, core.Hooks{})
 		f.Close()
 		if err != nil {
 			return err

@@ -18,6 +18,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -261,12 +262,22 @@ func timeScan(f *gio.File, engine string) (int64, error) {
 	var err error
 	switch engine {
 	case "pipelined":
-		err = f.ForEach(func(r gio.Record) error {
+		// The per-record row: a callback invoked once per record from
+		// inside the batch scan, as a record-at-a-time consumer pays.
+		each := func(r gio.Record) error {
 			fold(r)
+			return nil
+		}
+		err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+			for i := range batch {
+				if err := each(batch[i]); err != nil {
+					return err
+				}
+			}
 			return nil
 		})
 	case "batch", "mmap", "mmap-zerocopy":
-		err = f.ForEachBatch(func(batch []gio.Record) error {
+		err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 			for _, r := range batch {
 				fold(r)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/theory"
 )
@@ -19,7 +20,7 @@ func avgBound(cfg *Config, beta float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		b, err := core.UpperBound(f)
+		b, err := core.UpperBoundCtx(context.Background(), f, core.Hooks{})
 		f.Close()
 		if err != nil {
 			return 0, err
@@ -88,7 +89,7 @@ func Table9(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			r, err := core.Greedy(f)
+			r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 			edgesN := f.NumEdges()
 			f.Close()
 			if err != nil {
@@ -122,22 +123,22 @@ func Fig8(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			bound, err := core.UpperBound(f)
+			bound, err := core.UpperBoundCtx(context.Background(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			g, err := core.Greedy(f)
+			g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			one, err := core.OneKSwap(f, g.InSet, core.SwapOptions{})
+			one, err := core.OneKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			two, err := core.TwoKSwap(f, g.InSet, core.SwapOptions{})
+			two, err := core.TwoKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			f.Close()
 			if err != nil {
 				return err
@@ -169,12 +170,12 @@ func Fig10(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			g, err := core.Greedy(f)
+			g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			two, err := core.TwoKSwap(f, g.InSet, core.SwapOptions{})
+			two, err := core.TwoKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			f.Close()
 			if err != nil {
 				return err

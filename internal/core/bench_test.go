@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -25,17 +26,17 @@ func BenchmarkSwap(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	seed, err := Greedy(f)
+	seed, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, alg := range []struct {
 		name string
-		run  func(Source, []bool, SwapOptions) (*Result, error)
-	}{{"one-k-swap", OneKSwap}, {"two-k-swap", TwoKSwap}} {
+		run  func(context.Context, Source, []bool, SwapOptions, Hooks) (*Result, error)
+	}{{"one-k-swap", OneKSwapCtx}, {"two-k-swap", TwoKSwapCtx}} {
 		b.Run(alg.name, func(b *testing.B) {
 			for b.Loop() {
-				res, err := alg.run(f, seed.InSet, SwapOptions{})
+				res, err := alg.run(context.Background(), f, seed.InSet, SwapOptions{}, Hooks{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,7 +25,7 @@ type Coloring struct {
 	IO gio.Stats
 }
 
-// ColorByIS builds a proper coloring by repeatedly extracting a maximal
+// ColorByISCtx builds a proper coloring by repeatedly extracting a maximal
 // independent set from the still-uncolored vertices and assigning it the
 // next color — the classic reduction the paper's conclusion points at for
 // future work ("other graph problems like minimum vertex covers and graph
@@ -35,14 +35,9 @@ type Coloring struct {
 // restricted to uncolored vertices), so the total I/O is O(χ_greedy ·
 // scan(|V|+|E|)) with O(|V|) memory. On a degree-sorted file the extraction
 // order mirrors the Greedy algorithm, which keeps early classes large and
-// the class count close to the greedy chromatic number.
-func ColorByIS(f Source, maxColors int) (*Coloring, error) {
-	return ColorByISCtx(context.Background(), f, maxColors, Hooks{})
-}
-
-// ColorByISCtx is ColorByIS bound to a context and run hooks: ctx cancels
-// between batches and between color classes, hooks.OnScan observes
-// per-batch progress.
+// the class count close to the greedy chromatic number. ctx cancels between
+// batches and between color classes; hooks.OnScan observes per-batch
+// progress.
 func ColorByISCtx(ctx context.Context, f Source, maxColors int, h Hooks) (*Coloring, error) {
 	n := f.NumVertices()
 	if maxColors <= 0 {
@@ -120,15 +115,10 @@ func ColorByISCtx(ctx context.Context, f Source, maxColors int, h Hooks) (*Color
 	return col, nil
 }
 
-// VerifyColoring checks with one sequential scan that no edge joins two
-// vertices of the same color and that every vertex is colored.
-func VerifyColoring(f Source, col *Coloring) error {
-	return VerifyColoringCtx(context.Background(), f, col, Hooks{})
-}
-
-// VerifyColoringCtx is VerifyColoring bound to a context and run hooks.
-// Like the other verify passes it records only the first violation in scan
-// order and opts out of the rest of the stream.
+// VerifyColoringCtx checks with one sequential scan that no edge joins two
+// vertices of the same color and that every vertex is colored. Like the
+// other verify passes it records only the first violation in scan order and
+// opts out of the rest of the stream.
 func VerifyColoringCtx(ctx context.Context, f Source, col *Coloring, h Hooks) error {
 	if len(col.Colors) != f.NumVertices() {
 		return fmt.Errorf("core: verify coloring: %d entries for %d vertices",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -35,14 +36,14 @@ func writeFile(t *testing.T, g *graph.Graph, sorted bool) *gio.File {
 
 func mustIndependent(t *testing.T, f *gio.File, in []bool) {
 	t.Helper()
-	if err := VerifyIndependent(f, in); err != nil {
+	if err := VerifyIndependentCtx(context.Background(), f, in, Hooks{}); err != nil {
 		t.Fatalf("independence violated: %v", err)
 	}
 }
 
 func mustMaximal(t *testing.T, f *gio.File, in []bool) {
 	t.Helper()
-	if err := VerifyMaximal(f, in); err != nil {
+	if err := VerifyMaximalCtx(context.Background(), f, in, Hooks{}); err != nil {
 		t.Fatalf("maximality violated: %v", err)
 	}
 }
@@ -59,7 +60,7 @@ func TestGreedyFigure1Sorted(t *testing.T) {
 	// Degree order visits the degree-0/1 vertices v2..v5 first, recovering
 	// the maximum independent set {v2, v3, v4, v5}.
 	f := writeFile(t, plrg.Figure1(), true)
-	r, err := Greedy(f)
+	r, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestBaselineFigure1Unsorted(t *testing.T) {
 	// Vertex-ID order visits the hub v1 first and gets stuck with the
 	// maximal-but-not-maximum {v1, v2} — the paper's Figure 1 narrative.
 	f := writeFile(t, plrg.Figure1(), false)
-	r, err := Baseline(f)
+	r, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestBaselineFigure1Unsorted(t *testing.T) {
 func TestGreedyScanCount(t *testing.T) {
 	g := plrg.PowerLawN(500, 2.0, 1)
 	f := writeFile(t, g, true)
-	r, err := Greedy(f)
+	r, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestOneKSwapFigure2(t *testing.T) {
 	// so exactly one fires and the set grows from 2 to 3.
 	g := plrg.Figure2()
 	f := writeFile(t, g, true)
-	r, err := OneKSwap(f, members(6, 0, 3), SwapOptions{})
+	r, err := OneKSwapCtx(context.Background(), f, members(6, 0, 3), SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +143,9 @@ func TestOneTwoWitnessBoundary(t *testing.T) {
 	f := writeFile(t, g, false)
 	for _, alg := range []struct {
 		name string
-		run  func(Source, []bool, SwapOptions) (*Result, error)
-	}{{"one-k-swap", OneKSwap}, {"two-k-swap", TwoKSwap}} {
-		r, err := alg.run(f, members(4, 3), SwapOptions{})
+		run  func(context.Context, Source, []bool, SwapOptions, Hooks) (*Result, error)
+	}{{"one-k-swap", OneKSwapCtx}, {"two-k-swap", TwoKSwapCtx}} {
+		r, err := alg.run(context.Background(), f, members(4, 3), SwapOptions{}, Hooks{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
@@ -156,10 +157,10 @@ func TestOneTwoWitnessBoundary(t *testing.T) {
 
 func TestOneKSwapRejectsDependentInput(t *testing.T) {
 	f := writeFile(t, plrg.Path(4), true)
-	if _, err := OneKSwap(f, members(4, 0, 1), SwapOptions{}); err == nil {
+	if _, err := OneKSwapCtx(context.Background(), f, members(4, 0, 1), SwapOptions{}, Hooks{}); err == nil {
 		t.Fatal("expected error for non-independent initial set")
 	}
-	if _, err := TwoKSwap(f, members(4, 0, 1), SwapOptions{}); err == nil {
+	if _, err := TwoKSwapCtx(context.Background(), f, members(4, 0, 1), SwapOptions{}, Hooks{}); err == nil {
 		t.Fatal("expected error for non-independent initial set (two-k)")
 	}
 }
@@ -171,7 +172,7 @@ func TestOneKSwapCascade(t *testing.T) {
 		g := plrg.Cascade(k)
 		f := writeFile(t, g, true)
 		init := members(3*k, plrg.CascadeCenters(k)...)
-		r, err := OneKSwap(f, init, SwapOptions{})
+		r, err := OneKSwapCtx(context.Background(), f, init, SwapOptions{}, Hooks{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -191,7 +192,7 @@ func TestTwoKSwapFigure7(t *testing.T) {
 	// {v4, v5, v6, v8} while v7 conflicts, ending at size 5.
 	g := plrg.Figure7()
 	f := writeFile(t, g, true)
-	r, err := TwoKSwap(f, members(8, 0, 1, 2), SwapOptions{})
+	r, err := TwoKSwapCtx(context.Background(), f, members(8, 0, 1, 2), SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,15 +213,15 @@ func TestSwapNeverShrinks(t *testing.T) {
 		m := n * (1 + rng.Intn(4))
 		g := plrg.ErdosRenyi(n, m, seed)
 		f := writeFile(t, g, true)
-		greedy, err := Greedy(f)
+		greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+		one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+		two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,15 +243,15 @@ func TestSwapOnPowerLawGraphs(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			g := plrg.PowerLawN(800, beta, seed)
 			f := writeFile(t, g, true)
-			greedy, err := Greedy(f)
+			greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+			one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+			two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,11 +272,11 @@ func TestExternalMaximalMatchesBaselineOrder(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := plrg.ErdosRenyi(60, 150, seed)
 		f := writeFile(t, g, false)
-		ext, err := ExternalMaximal(f, ExternalMaximalOptions{})
+		ext, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := Baseline(f)
+		base, err := GreedyCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +297,11 @@ func TestExternalMaximalSpills(t *testing.T) {
 	// A tiny PQ buffer forces disk spills without changing the answer.
 	g := plrg.PowerLawN(400, 2.0, 7)
 	f := writeFile(t, g, false)
-	small, err := ExternalMaximal(f, ExternalMaximalOptions{PQMemoryCapacity: 16})
+	small, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{PQMemoryCapacity: 16}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := ExternalMaximal(f, ExternalMaximalOptions{})
+	big, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestUpperBoundDominatesExact(t *testing.T) {
 		m := rng.Intn(3 * n)
 		g := plrg.ErdosRenyi(n, m, seed)
 		f := writeFile(t, g, true)
-		bound, err := UpperBound(f)
+		bound, err := UpperBoundCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,17 +420,17 @@ func TestAllAlgorithmsOnDenseAndSparse(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			f := writeFile(t, g, true)
-			greedy, err := Greedy(f)
+			greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			mustIndependent(t, f, greedy.InSet)
 			mustMaximal(t, f, greedy.InSet)
-			one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+			one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+			two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,7 +438,7 @@ func TestAllAlgorithmsOnDenseAndSparse(t *testing.T) {
 			mustIndependent(t, f, two.InSet)
 			mustMaximal(t, f, one.InSet)
 			mustMaximal(t, f, two.InSet)
-			ext, err := ExternalMaximal(f, ExternalMaximalOptions{})
+			ext, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -453,7 +454,7 @@ func TestSwapFromEmptyInitialSet(t *testing.T) {
 	g := plrg.PowerLawN(200, 2.0, 5)
 	f := writeFile(t, g, true)
 	empty := make([]bool, f.NumVertices())
-	r, err := OneKSwap(f, empty, SwapOptions{})
+	r, err := OneKSwapCtx(context.Background(), f, empty, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +463,7 @@ func TestSwapFromEmptyInitialSet(t *testing.T) {
 	if r.Size == 0 {
 		t.Fatal("one-k-swap from empty set produced nothing")
 	}
-	r2, err := TwoKSwap(f, empty, SwapOptions{})
+	r2, err := TwoKSwapCtx(context.Background(), f, empty, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestEarlyStopRounds(t *testing.T) {
 	g := plrg.Cascade(10)
 	f := writeFile(t, g, true)
 	init := members(30, plrg.CascadeCenters(10)...)
-	r, err := OneKSwap(f, init, SwapOptions{EarlyStopRounds: 3})
+	r, err := OneKSwapCtx(context.Background(), f, init, SwapOptions{EarlyStopRounds: 3}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,11 +489,11 @@ func TestEarlyStopRounds(t *testing.T) {
 func TestRoundGainsMonotoneSize(t *testing.T) {
 	g := plrg.PowerLawN(600, 1.9, 11)
 	f := writeFile(t, g, true)
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+	r, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

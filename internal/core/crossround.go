@@ -38,14 +38,6 @@ type carryCollector struct {
 	states semiext.States
 	buf    *semiext.RecordBuffer // the A records, budget-bounded
 
-	// isn, for two-k-swap, receives each I vertex's carry index as a free
-	// rider of every collection scan: the number of A records buffered
-	// before it. Two-k-swap's validating swap replay needs it to interleave
-	// the R vertices (which are not in the buffer — they were I at
-	// collection time) with the buffered P vertices in exact scan order.
-	// Nil for one-k-swap, which has no validating scan.
-	isn *semiext.ISN
-
 	collected bool
 }
 
@@ -55,14 +47,11 @@ type carryCollector struct {
 // be forced in tests.
 var carryBudget = func(n int) int { return 2*n + 1024 }
 
-// newCarryCollector returns a collector over the shared state array. A
-// non-nil isn (two-k-swap's two-slot ISN) additionally receives every I
-// vertex's carry index.
-func newCarryCollector(states semiext.States, isn *semiext.ISN) *carryCollector {
+// newCarryCollector returns a collector over the shared state array.
+func newCarryCollector(states semiext.States) *carryCollector {
 	return &carryCollector{
 		states: states,
 		buf:    semiext.NewRecordBuffer(carryBudget(states.Len())),
-		isn:    isn,
 	}
 }
 
@@ -89,14 +78,8 @@ func (c *carryCollector) reset() {
 
 func (c *carryCollector) batch(batch []gio.Record) error {
 	for i := range batch {
-		r := &batch[i]
-		switch c.states.Get(r.ID) {
-		case semiext.StateAdjacent:
+		if r := &batch[i]; c.states.Get(r.ID) == semiext.StateAdjacent {
 			c.buf.Append(r.ID, r.Neighbors)
-		case semiext.StateIS:
-			if c.isn != nil {
-				c.isn.SetCarryIndex(r.ID, uint32(c.buf.Len()))
-			}
 		}
 	}
 	return nil
@@ -113,6 +96,5 @@ func (c *carryCollector) forEach(fn func(u uint32, neighbors []uint32)) {
 }
 
 // memoryBytes reports the collector's contribution to the algorithm's
-// high-water footprint: the deferral buffer (the carry indexes live in the
-// ISN's slots).
+// high-water footprint: the deferral buffer.
 func (c *carryCollector) memoryBytes() uint64 { return c.buf.MemoryPeak() }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -12,10 +13,9 @@ import (
 )
 
 // TestCarryCollectorOverflow white-boxes the collector: a collection that
-// fits buffers the A records in scan order and gives every I vertex its
-// carry index, the number of A records buffered before it, across batch
-// boundaries; past the budget it discards the buffer and reports not-ready
-// (forcing the classic dedicated scans); and re-arming starts afresh.
+// fits buffers the A records in scan order across batch boundaries; past
+// the budget it discards the buffer and reports not-ready (forcing the
+// classic dedicated scans); and re-arming starts afresh.
 func TestCarryCollectorOverflow(t *testing.T) {
 	const n = 8
 	A, I := semiext.StateAdjacent, semiext.StateIS
@@ -23,8 +23,7 @@ func TestCarryCollectorOverflow(t *testing.T) {
 	for v, s := range []semiext.State{A, A, I, A, I, I, A, I} {
 		states.Set(uint32(v), s)
 	}
-	isn := semiext.NewISN(states, true)
-	c := newCarryCollector(states, isn)
+	c := newCarryCollector(states)
 
 	var batch []gio.Record
 	for v := uint32(0); v < n; v++ {
@@ -49,11 +48,6 @@ func TestCarryCollectorOverflow(t *testing.T) {
 	if !reflect.DeepEqual(ids, []uint32{0, 1, 3, 6}) {
 		t.Fatalf("buffered %v, want the A vertices [0 1 3 6] in scan order", ids)
 	}
-	for w, want := range map[uint32]uint32{2: 2, 4: 3, 5: 3, 7: 4} {
-		if got := isn.CarryIndex(w); got != want {
-			t.Fatalf("carry index of I vertex %d = %d, want %d", w, got, want)
-		}
-	}
 
 	c.buf = semiext.NewRecordBuffer(5) // two records of two neighbours fit
 	collect()
@@ -74,58 +68,59 @@ func TestCarryCollectorOverflow(t *testing.T) {
 	}
 }
 
-// TestReplaySwapFollowsScanOrder runs the validating swap pass twice on one
-// hand-built state, as the dedicated scan and as the carried replay, and
-// requires the same states and canSwap. In scan order the R vertex w (0)
-// comes before the P vertex u (1) of its group, and u has an I neighbor x
-// (2), so u fails the group and reinstates w after w has left: canSwap is
-// true only if w is handled first, which the replay gets from w's carry
-// index. In a whole run x would be another group's confirmed passenger,
-// and that group's own departing vertices would set canSwap in either
-// order; here x is a plain I vertex so that the order shows.
-func TestReplaySwapFollowsScanOrder(t *testing.T) {
-	const w, u, x = 0, 1, 2
-	records := []gio.Record{
-		{ID: w, Neighbors: []uint32{u}},
-		{ID: u, Neighbors: []uint32{w, x}},
-		{ID: x, Neighbors: []uint32{u}},
+// TestFailedGroupLeavesNoRetrograde white-boxes the invariant the carried
+// swap replay's order rests on (see replaySwap): once a group fails, none
+// of its vertices is still R and its confirmed members are C, so the R
+// vertices the replay meets after the P vertices are exactly those of the
+// surviving groups. Group 0 is a 2-3 skeleton (w1, w2 leave; a, b, c
+// enter), group 1 a 1-2 swap (x leaves; y enters), and c is adjacent to y:
+// validated in the order y, a, b, c, group 1 confirms y, group 0 confirms a
+// and b, and c's collision with y fails group 0.
+func TestFailedGroupLeavesNoRetrograde(t *testing.T) {
+	const w1, w2, a, b, c, x, y = 0, 1, 2, 3, 4, 5, 6
+	R, P := semiext.StateRetrograde, semiext.StateProtected
+	states := semiext.NewStates(7)
+	for v, s := range []semiext.State{R, R, P, P, P, R, P} {
+		states.Set(uint32(v), s)
 	}
-	build := func(carried bool) *twoKState {
-		states := semiext.NewStates(len(records))
-		st := &twoKState{states: states, isn: semiext.NewISN(states, true)}
-		if carried {
-			// The collection scan saw w and x in the set and u as A.
-			states.Set(w, semiext.StateIS)
-			states.Set(u, semiext.StateAdjacent)
-			states.Set(x, semiext.StateIS)
-			st.carry = newCarryCollector(states, st.isn)
-			_ = st.carry.pass("test-carry", "test-product")
-			if err := st.carry.batch(records); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The pre-swap fired a 1-2 swap: w leaves, u enters.
-		states.Set(w, semiext.StateRetrograde)
-		states.Set(u, semiext.StateProtected)
-		states.Set(x, semiext.StateIS)
-		gi := st.groups.add(w, semiext.NoVertex)
-		st.groups.assign(w, gi)
-		st.groups.assign(u, gi)
-		return st
+	st := &twoKState{states: states, isn: semiext.NewISN(states, true)}
+	g0 := st.groups.add(w1, w2)
+	for _, v := range []uint32{w1, w2, a, b, c} {
+		st.groups.assign(v, g0)
+	}
+	g1 := st.groups.add(x, semiext.NoVertex)
+	for _, v := range []uint32{x, y} {
+		st.groups.assign(v, g1)
 	}
 
-	scan := build(false)
-	if err := scan.swapPass().Batch(records); err != nil {
-		t.Fatal(err)
+	st.swapValidateP(y, []uint32{x, c})
+	st.swapValidateP(a, []uint32{w1})
+	st.swapValidateP(b, []uint32{w2})
+	if got := states.Get(a); got != semiext.StateIS {
+		t.Fatalf("a confirmed before the failure is %v, want I", got)
 	}
-	replay := build(true)
-	replay.replaySwap()
-	if !scan.canSwap {
-		t.Fatal("dedicated scan: w left before u failed its group, but canSwap is false")
+	st.swapValidateP(c, []uint32{w1, w2, y})
+
+	if !st.groups.failed(g0) || st.groups.failed(g1) {
+		t.Fatalf("failed: group 0 %v, group 1 %v; want true, false", st.groups.failed(g0), st.groups.failed(g1))
 	}
-	if replay.canSwap != scan.canSwap || !reflect.DeepEqual(replay.states.Snapshot(), scan.states.Snapshot()) {
-		t.Fatalf("replay canSwap=%v states %v, dedicated scan canSwap=%v states %v",
-			replay.canSwap, replay.states.Snapshot(), scan.canSwap, scan.states.Snapshot())
+	for _, v := range []uint32{w1, w2, a, b, c} {
+		if states.Get(v) == R {
+			t.Errorf("vertex %d of the failed group is still R", v)
+		}
+	}
+	for _, v := range []uint32{a, b, c} {
+		if got := states.Get(v); got != semiext.StateConflict {
+			t.Errorf("member %d of the failed group is %v, want C", v, got)
+		}
+	}
+	for _, v := range []uint32{w1, w2} {
+		if got := states.Get(v); got != semiext.StateIS {
+			t.Errorf("leaving vertex %d of the failed group is %v, want I (reinstated)", v, got)
+		}
+	}
+	if states.Get(x) != R || states.Get(y) != semiext.StateIS {
+		t.Fatalf("surviving group: x %v, y %v; want R, I", states.Get(x), states.Get(y))
 	}
 }
 
@@ -144,16 +139,16 @@ func TestCarryOverflowFallbackParity(t *testing.T) {
 		for i, budget := range []func(int) int{old, func(int) int { return 0 }} {
 			carryBudget = budget
 			f, _ := openFixture(t, multiroundFixture)
-			seed, err := Greedy(f)
+			seed, err := GreedyCtx(context.Background(), f, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var r *Result
 			switch alg {
 			case "one-k-swap":
-				r, err = OneKSwap(f, seed.InSet, SwapOptions{})
+				r, err = OneKSwapCtx(context.Background(), f, seed.InSet, SwapOptions{}, Hooks{})
 			case "two-k-swap":
-				r, err = TwoKSwap(f, seed.InSet, SwapOptions{})
+				r, err = TwoKSwapCtx(context.Background(), f, seed.InSet, SwapOptions{}, Hooks{})
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", alg, err)
@@ -217,13 +212,13 @@ func TestRandomizedCarryOverflow(t *testing.T) {
 	for name, g := range cases {
 		f := writeSorted(t, g)
 		carryBudget = old
-		normal, err := RandomizedMaximal(f, propertyRandomizedSeed)
+		normal, err := RandomizedMaximalCtx(context.Background(), f, propertyRandomizedSeed, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		carriedNormally += normal.IO.CarriedScans
 		carryBudget = func(int) int { return -1 } // no record fits
-		r, err := RandomizedMaximal(f, propertyRandomizedSeed)
+		r, err := RandomizedMaximalCtx(context.Background(), f, propertyRandomizedSeed, Hooks{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

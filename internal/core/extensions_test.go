@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ func TestRandomizedMaximal(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := plrg.ErdosRenyi(120, 360, seed)
 		f := writeFile(t, g, false)
-		r, err := RandomizedMaximal(f, seed+100)
+		r, err := RandomizedMaximalCtx(context.Background(), f, seed+100, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,11 +29,11 @@ func TestRandomizedMaximal(t *testing.T) {
 func TestRandomizedMaximalDeterministicPerSeed(t *testing.T) {
 	g := plrg.PowerLawN(500, 2.0, 3)
 	f := writeFile(t, g, true)
-	a, err := RandomizedMaximal(f, 7)
+	a, err := RandomizedMaximalCtx(context.Background(), f, 7, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RandomizedMaximal(f, 7)
+	b, err := RandomizedMaximalCtx(context.Background(), f, 7, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRandomizedMaximalDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed diverged at vertex %d", v)
 		}
 	}
-	c, err := RandomizedMaximal(f, 8)
+	c, err := RandomizedMaximalCtx(context.Background(), f, 8, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRandomizedMaximalEdgeCases(t *testing.T) {
 		plrg.Complete(9),            // exactly one joins
 	} {
 		f := writeFile(t, g, false)
-		r, err := RandomizedMaximal(f, 1)
+		r, err := RandomizedMaximalCtx(context.Background(), f, 1, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +89,11 @@ func TestColoringKnownGraphs(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := writeFile(t, c.g, true)
-		col, err := ColorByIS(f, 0)
+		col, err := ColorByISCtx(context.Background(), f, 0, Hooks{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := VerifyColoring(f, col); err != nil {
+		if err := VerifyColoringCtx(context.Background(), f, col, Hooks{}); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if col.NumColors < c.exactWant {
@@ -127,11 +128,11 @@ func TestColoringRandomProperty(t *testing.T) {
 			return false
 		}
 		defer file.Close()
-		col, err := ColorByIS(file, 0)
+		col, err := ColorByISCtx(context.Background(), file, 0, Hooks{})
 		if err != nil {
 			return false
 		}
-		if VerifyColoring(file, col) != nil {
+		if VerifyColoringCtx(context.Background(), file, col, Hooks{}) != nil {
 			return false
 		}
 		// Greedy-by-IS never needs more than maxdeg+1 colors.
@@ -144,7 +145,7 @@ func TestColoringRandomProperty(t *testing.T) {
 
 func TestColoringMaxColorsGuard(t *testing.T) {
 	f := writeFile(t, plrg.Complete(6), true)
-	if _, err := ColorByIS(f, 3); err == nil {
+	if _, err := ColorByISCtx(context.Background(), f, 3, Hooks{}); err == nil {
 		t.Fatal("K6 cannot be colored with 3 classes")
 	}
 }
@@ -154,11 +155,11 @@ func TestColoringFirstClassIsGreedyIS(t *testing.T) {
 	// Greedy independent set.
 	g := plrg.PowerLawN(400, 2.0, 5)
 	f := writeFile(t, g, true)
-	col, err := ColorByIS(f, 0)
+	col, err := ColorByISCtx(context.Background(), f, 0, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +186,20 @@ func TestSwapInvariantsQuick(t *testing.T) {
 			return false
 		}
 		defer f.Close()
-		greedy, err := Greedy(f)
+		greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			return false
 		}
-		one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+		one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 		if err != nil {
 			return false
 		}
-		two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+		two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 		if err != nil {
 			return false
 		}
 		for _, r := range []*Result{greedy, one, two} {
-			if VerifyIndependent(f, r.InSet) != nil || VerifyMaximal(f, r.InSet) != nil {
+			if VerifyIndependentCtx(context.Background(), f, r.InSet, Hooks{}) != nil || VerifyMaximalCtx(context.Background(), f, r.InSet, Hooks{}) != nil {
 				return false
 			}
 		}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// ExternalMaximalOptions configure ExternalMaximal.
+// ExternalMaximalOptions configure ExternalMaximalCtx.
 type ExternalMaximalOptions struct {
 	// PQMemoryCapacity bounds the external priority queue's in-memory
 	// buffer (keys); ≤ 0 selects extpq's default.
@@ -19,7 +19,7 @@ type ExternalMaximalOptions struct {
 	TempDir string
 }
 
-// ExternalMaximal computes a maximal independent set with time-forward
+// ExternalMaximalCtx computes a maximal independent set with time-forward
 // processing, the deterministic external algorithm of Zeh implemented by
 // the paper's STXXL competitor. Vertices are processed in scan order; a
 // vertex joins the set unless an earlier IS vertex forwarded it an
@@ -30,14 +30,8 @@ type ExternalMaximalOptions struct {
 // its own scheduler group.
 //
 // The algorithm guarantees maximality only — not size — which is exactly
-// the gap the paper's swap algorithms close.
-func ExternalMaximal(f Source, opts ExternalMaximalOptions) (*Result, error) {
-	return ExternalMaximalCtx(context.Background(), f, opts, Hooks{})
-}
-
-// ExternalMaximalCtx is ExternalMaximal bound to a context and run hooks:
-// ctx cancels both passes between batches, hooks.OnScan observes per-batch
-// progress.
+// the gap the paper's swap algorithms close. ctx cancels both passes
+// between batches; hooks.OnScan observes per-batch progress.
 func ExternalMaximalCtx(ctx context.Context, f Source, opts ExternalMaximalOptions, h Hooks) (*Result, error) {
 	n := f.NumVertices()
 	rn := newRun(ctx, h)

@@ -9,26 +9,21 @@ import (
 	"repro/internal/semiext"
 )
 
-// Greedy runs Algorithm 1, the semi-external greedy, over f. The file
+// GreedyCtx runs Algorithm 1, the semi-external greedy, over f. The file
 // should be in ascending-degree scan order (the paper's preprocessing); run
-// on an unsorted file it degenerates into the Baseline competitor. Greedy
+// on an unsorted file it is the paper's BASELINE competitor. Greedy
 // registers two logical passes with the scan scheduler — the order-dependent
 // marking pass and a read-only degree/stat collection pass — which fuse into
 // exactly one physical scan; memory stays at half a byte of state per
 // vertex, and the result is always a maximal independent set.
-func Greedy(f Source) (*Result, error) {
-	return GreedyScheduled(f, pipeline.Options{})
-}
-
-// GreedyCtx is Greedy bound to a context and run hooks: ctx cancels the
-// marking scan between batches (the error wraps ctx.Err with the scan
-// position), and hooks.OnScan observes per-batch progress. A nil ctx and
-// zero hooks behave exactly like Greedy.
+//
+// ctx cancels the marking scan between batches (the error wraps ctx.Err
+// with the scan position), and hooks.OnScan observes per-batch progress.
 func GreedyCtx(ctx context.Context, f Source, h Hooks) (*Result, error) {
 	return GreedyScheduled(f, newRun(ctx, h).sopts(false))
 }
 
-// GreedyScheduled is Greedy with explicit scheduler options; passing an
+// GreedyScheduled is GreedyCtx with explicit scheduler options; passing an
 // Unfused schedule runs each logical pass as its own physical scan, the
 // accounting baseline of the scan-count and parity tests.
 func GreedyScheduled(f Source, sopts pipeline.Options) (*Result, error) {
@@ -91,13 +86,4 @@ func degreeStatsPass(out *DegreeStats) pipeline.Pass {
 			return nil
 		},
 	}
-}
-
-// Baseline runs Algorithm 1 without the global degree ordering: the file is
-// scanned in whatever order its records are stored (the paper's BASELINE
-// competitor). Functionally identical to Greedy; the distinction is the
-// input file's order, so this wrapper exists to make call sites
-// self-describing and to warn when it is handed a degree-sorted file.
-func Baseline(f Source) (*Result, error) {
-	return Greedy(f)
 }

@@ -54,8 +54,8 @@ func (h Hooks) round(ev RoundEvent) {
 
 // run bundles one algorithm run's cancellation and observability: the
 // context every scheduler run and round boundary checks, and the hooks
-// events are delivered through. A nil ctx is a plain uncancellable run —
-// what the legacy entry points pass.
+// events are delivered through. A nil ctx never cancels: every entry point
+// takes a ctx, but a Solver caller may still pass nil.
 type run struct {
 	ctx   context.Context
 	hooks Hooks

@@ -71,7 +71,7 @@ func TestSwapMemoryCountsLiveHeap(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := writeSorted(t, tc.g())
-			seed, err := Greedy(f)
+			seed, err := GreedyCtx(context.Background(), f, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,9 +52,9 @@ func (o SwapOptions) scheduler(f Source, rn run) *pipeline.Scheduler {
 // WithDefaults returns a copy of o with every unset field replaced by its
 // documented default for an n-vertex graph: MaxRounds ≤ 0 selects 10·n+10
 // (effectively unbounded) and StallRounds ≤ 0 selects 3. It is the single
-// place swap defaults are decided — OneKSwap and TwoKSwap both apply it, and
-// callers that need to display or log effective settings can call it
-// themselves.
+// place swap defaults are decided — OneKSwapCtx and TwoKSwapCtx both apply
+// it, and callers that need to display or log effective settings can call
+// it themselves.
 func (o SwapOptions) WithDefaults(n int) SwapOptions {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 10*n + 10
@@ -87,7 +87,7 @@ var ErrNotIndependent = errors.New("core: initial set is not independent")
 // counts the next round's pre-swap pass consumes.
 const oneKProduct = "one-k-states"
 
-// OneKSwap runs Algorithm 2: starting from the independent set initial
+// OneKSwapCtx runs Algorithm 2: starting from the independent set initial
 // (indexed by vertex ID), it repeatedly exchanges one IS vertex for k ≥ 2
 // non-IS vertices until no 1-k swap applies. Each round performs a pre-swap
 // pass (detecting 1-2 swap skeletons and resolving swap conflicts by
@@ -103,14 +103,10 @@ const oneKProduct = "one-k-states"
 // the carry buffer, a stall exit, or an Unfused schedule fall back to the
 // classic dedicated scans. Only sequential scans touch the file; memory
 // stays at a few words per vertex.
-func OneKSwap(f Source, initial []bool, opts SwapOptions) (*Result, error) {
-	return OneKSwapCtx(context.Background(), f, initial, opts, Hooks{})
-}
-
-// OneKSwapCtx is OneKSwap bound to a context and run hooks: ctx cancels
-// between batches, between rounds and before carried-collection replays;
-// hooks.OnScan observes per-batch progress and hooks.OnRound each completed
-// round with its gain and I/O delta.
+//
+// ctx cancels between batches, between rounds and before carried-collection
+// replays; hooks.OnScan observes per-batch progress and hooks.OnRound each
+// completed round with its gain and I/O delta.
 func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions, h Hooks) (*Result, error) {
 	n := f.NumVertices()
 	if len(initial) != n {
@@ -138,7 +134,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	// counts it consumes are complete.
 	var carry *carryCollector
 	if !opts.Unfused {
-		carry = newCarryCollector(states, nil)
+		carry = newCarryCollector(states)
 	}
 	setup := opts.scheduler(f, rn)
 	setup.Add(setupPass(states, isn, false))

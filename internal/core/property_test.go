@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -234,38 +235,38 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[
 	digests = make(map[string]string)
 
 	// Greedy seeds the swaps and must itself be independent + maximal.
-	seed, err := Greedy(f)
+	seed, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBoth(f, seed.InSet); err != nil {
+	if err := VerifyBothCtx(context.Background(), f, seed.InSet, Hooks{}); err != nil {
 		t.Fatalf("greedy: %v", err)
 	}
 	digests["greedy"] = resultDigest(seed)
 
-	base, err := Baseline(f)
+	base, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBoth(f, base.InSet); err != nil {
+	if err := VerifyBothCtx(context.Background(), f, base.InSet, Hooks{}); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	digests["baseline"] = resultDigest(base)
 
-	ext, err := ExternalMaximal(f, ExternalMaximalOptions{})
+	ext, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBoth(f, ext.InSet); err != nil {
+	if err := VerifyBothCtx(context.Background(), f, ext.InSet, Hooks{}); err != nil {
 		t.Fatalf("external-maximal: %v", err)
 	}
 	digests["external-maximal"] = resultDigest(ext)
 
-	rnd, err := RandomizedMaximal(f, propertyRandomizedSeed)
+	rnd, err := RandomizedMaximalCtx(context.Background(), f, propertyRandomizedSeed, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBoth(f, rnd.InSet); err != nil {
+	if err := VerifyBothCtx(context.Background(), f, rnd.InSet, Hooks{}); err != nil {
 		t.Fatalf("randomized: %v", err)
 	}
 	digests["randomized"] = randomizedDigest(rnd)
@@ -288,17 +289,17 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[
 	}
 	for _, alg := range []swapAlg{
 		{"one-k-swap", func(src Source, opts SwapOptions) (*Result, error) {
-			return OneKSwap(src, seed.InSet, opts)
+			return OneKSwapCtx(context.Background(), src, seed.InSet, opts, Hooks{})
 		}},
 		{"two-k-swap", func(src Source, opts SwapOptions) (*Result, error) {
-			return TwoKSwap(src, seed.InSet, opts)
+			return TwoKSwapCtx(context.Background(), src, seed.InSet, opts, Hooks{})
 		}},
 	} {
 		fused, err := alg.run(f, SwapOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
-		if err := VerifyBoth(f, fused.InSet); err != nil {
+		if err := VerifyBothCtx(context.Background(), f, fused.InSet, Hooks{}); err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
 		if fused.Size < seed.Size {
@@ -337,17 +338,17 @@ func runPropertyCase(t *testing.T, g *graph.Graph) (multiround int, digests map[
 
 	// Workers parity for the scan-only algorithms.
 	for _, workers := range []int{2, 4} {
-		pg, err := Greedy(exec.New(f, workers))
+		pg, err := GreedyCtx(context.Background(), exec.New(f, workers), Hooks{})
 		if err != nil {
 			t.Fatalf("greedy workers=%d: %v", workers, err)
 		}
 		requireSameResult(t, fmt.Sprintf("greedy workers=%d", workers), seed, pg)
-		pe, err := ExternalMaximal(exec.New(f, workers), ExternalMaximalOptions{})
+		pe, err := ExternalMaximalCtx(context.Background(), exec.New(f, workers), ExternalMaximalOptions{}, Hooks{})
 		if err != nil {
 			t.Fatalf("external-maximal workers=%d: %v", workers, err)
 		}
 		requireSameResult(t, fmt.Sprintf("external-maximal workers=%d", workers), ext, pe)
-		pr, err := RandomizedMaximal(exec.New(f, workers), propertyRandomizedSeed)
+		pr, err := RandomizedMaximalCtx(context.Background(), exec.New(f, workers), propertyRandomizedSeed, Hooks{})
 		if err != nil {
 			t.Fatalf("randomized workers=%d: %v", workers, err)
 		}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/semiext"
 )
 
-// RandomizedMaximal computes a maximal independent set with the randomized
+// RandomizedMaximalCtx computes a maximal independent set with the randomized
 // rounds of Abello, Buchsbaum and Westbrook's functional approach (related
 // work [2], I/O O(sort(|E|)) with high probability), adapted to the
 // semi-external setting: each round orders the still undecided vertices by
@@ -27,13 +27,9 @@ import (
 // a run costs two physical scans whenever the residual fits, and two per
 // round until one does: a round whose collection overflowed is followed by
 // another round of two physical scans that collects again.
-func RandomizedMaximal(f Source, seed int64) (*Result, error) {
-	return RandomizedMaximalCtx(context.Background(), f, seed, Hooks{})
-}
-
-// RandomizedMaximalCtx is RandomizedMaximal bound to a context and run
-// hooks: ctx cancels between batches and between rounds, hooks.OnScan
-// observes per-batch progress. Deterministic per seed for any Source.
+//
+// ctx cancels between batches and between rounds; hooks.OnScan observes
+// per-batch progress. Deterministic per seed for any Source.
 func RandomizedMaximalCtx(ctx context.Context, f Source, seed int64, h Hooks) (*Result, error) {
 	n := f.NumVertices()
 	rn := newRun(ctx, h)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -53,13 +54,13 @@ func openFixture(t *testing.T, path string) (*gio.File, *gio.Counters) {
 func TestScanCountGolden(t *testing.T) {
 	f, stats := openTiny(t)
 
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIO(t, "greedy", greedy.IO, 2, 1)
 
-	one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+	one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestScanCountGolden(t *testing.T) {
 		t.Fatalf("one-k-swap carried scans = %d, want 1", one.IO.CarriedScans)
 	}
 
-	two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+	two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,20 +84,20 @@ func TestScanCountGolden(t *testing.T) {
 		t.Fatalf("two-k-swap carried scans = %d, want 2", two.IO.CarriedScans)
 	}
 
-	ext, err := ExternalMaximal(f, ExternalMaximalOptions{})
+	ext, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIO(t, "external-maximal", ext.IO, 2, 2)
 
 	before := stats.Snapshot()
-	if _, err := UpperBound(f); err != nil {
+	if _, err := UpperBoundCtx(context.Background(), f, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	checkIO(t, "upper-bound", scanDelta(stats.Snapshot(), before), 1, 1)
 
 	before = stats.Snapshot()
-	if err := VerifyBoth(f, two.InSet); err != nil {
+	if err := VerifyBothCtx(context.Background(), f, two.InSet, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	checkIO(t, "verify-both", scanDelta(stats.Snapshot(), before), 2, 1)
@@ -127,12 +128,12 @@ func scanDelta(now, before gio.Stats) gio.Stats {
 func TestScanCountGoldenMultiround(t *testing.T) {
 	f, _ := openFixture(t, multiroundFixture)
 
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	one, err := OneKSwap(f, greedy.InSet, SwapOptions{})
+	one, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestScanCountGoldenMultiround(t *testing.T) {
 		t.Fatalf("one-k-swap carried scans = %d, want 3", one.IO.CarriedScans)
 	}
 
-	two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+	two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestScanCountGoldenMultiround(t *testing.T) {
 	// and the retire scan collects the undecided residual; every later
 	// round replays both passes from it. At seed 5 the fixture takes three
 	// rounds: 6 logical, 2 physical, 4 carried.
-	rnd, err := RandomizedMaximal(f, 5)
+	rnd, err := RandomizedMaximalCtx(context.Background(), f, 5, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestStatsInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := OneKSwap(f, seed.InSet, SwapOptions{Unfused: unfused})
+			r, err := OneKSwapCtx(context.Background(), f, seed.InSet, SwapOptions{Unfused: unfused}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,14 +234,14 @@ func TestStatsInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := TwoKSwap(f, seed.InSet, SwapOptions{Unfused: unfused})
+			r, err := TwoKSwapCtx(context.Background(), f, seed.InSet, SwapOptions{Unfused: unfused}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r.IO
 		}},
 		{"external-maximal", func(f *gio.File, unfused bool) gio.Stats {
-			r, err := ExternalMaximal(f, ExternalMaximalOptions{})
+			r, err := ExternalMaximalCtx(context.Background(), f, ExternalMaximalOptions{}, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,10 +298,10 @@ func TestFusedVsUnfusedParity(t *testing.T) {
 		opts := SwapOptions{Unfused: unfused}
 		switch alg {
 		case "one-k-swap":
-			r, err := OneKSwap(f, greedy.InSet, opts)
+			r, err := OneKSwapCtx(context.Background(), f, greedy.InSet, opts, Hooks{})
 			return outcome{r, err}
 		case "two-k-swap":
-			r, err := TwoKSwap(f, greedy.InSet, opts)
+			r, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, opts, Hooks{})
 			return outcome{r, err}
 		}
 		t.Fatalf("unknown alg %s", alg)

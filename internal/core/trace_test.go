@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/plrg"
@@ -51,7 +52,7 @@ func TestExample1Trace(t *testing.T) {
 	g := plrg.Figure2()
 	f := writeFile(t, g, true)
 	var tr snapshotTrace
-	r, err := OneKSwap(f, members(6, 0, 3), SwapOptions{OnPhase: tr.hook})
+	r, err := OneKSwapCtx(context.Background(), f, members(6, 0, 3), SwapOptions{OnPhase: tr.hook}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestExample3Trace(t *testing.T) {
 	g := plrg.Figure7()
 	f := writeFile(t, g, true)
 	var tr snapshotTrace
-	r, err := TwoKSwap(f, members(8, 0, 1, 2), SwapOptions{OnPhase: tr.hook})
+	r, err := TwoKSwapCtx(context.Background(), f, members(8, 0, 1, 2), SwapOptions{OnPhase: tr.hook}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +140,12 @@ func TestExample3Trace(t *testing.T) {
 func TestTracePhaseOrder(t *testing.T) {
 	g := plrg.PowerLawN(300, 2.0, 9)
 	f := writeFile(t, g, true)
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tr snapshotTrace
-	r, err := OneKSwap(f, greedy.InSet, SwapOptions{OnPhase: tr.hook})
+	r, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{OnPhase: tr.hook}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSwapsRespectFigure3(t *testing.T) {
 		for _, beta := range []float64{1.8, 2.4} {
 			g := plrg.PowerLawN(600, beta, seed)
 			f := writeFile(t, g, true)
-			greedy, err := Greedy(f)
+			greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +33,7 @@ func TestSwapsRespectFigure3(t *testing.T) {
 					violation = err
 				}
 			}
-			if _, err := OneKSwap(f, greedy.InSet, SwapOptions{OnPhase: hook}); err != nil {
+			if _, err := OneKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{OnPhase: hook}, Hooks{}); err != nil {
 				t.Fatal(err)
 			}
 			if violation != nil {
@@ -41,7 +42,7 @@ func TestSwapsRespectFigure3(t *testing.T) {
 
 			tc = semiext.TransitionChecker{}
 			violation = nil
-			if _, err := TwoKSwap(f, greedy.InSet, SwapOptions{OnPhase: hook}); err != nil {
+			if _, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{OnPhase: hook}, Hooks{}); err != nil {
 				t.Fatal(err)
 			}
 			if violation != nil {
@@ -67,7 +68,7 @@ func TestCascadeRespectsFigure3(t *testing.T) {
 			violation = err
 		}
 	}
-	if _, err := OneKSwap(f, init, SwapOptions{OnPhase: hook}); err != nil {
+	if _, err := OneKSwapCtx(context.Background(), f, init, SwapOptions{OnPhase: hook}, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if violation != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestSwapsNearOptimalOnTrees(t *testing.T) {
 		f := writeFile(t, g, true)
 		exact := treeMIS(g)
 
-		bound, err := UpperBound(f)
+		bound, err := UpperBoundCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +116,11 @@ func TestSwapsNearOptimalOnTrees(t *testing.T) {
 			t.Fatalf("seed %d: exact %d exceeds bound %d", seed, exact, bound)
 		}
 
-		greedy, err := Greedy(f)
+		greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := TwoKSwap(f, greedy.InSet, SwapOptions{})
+		two, err := TwoKSwapCtx(context.Background(), f, greedy.InSet, SwapOptions{}, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,12 +139,12 @@ func TestSwapsNearOptimalOnTrees(t *testing.T) {
 func TestVertexCover(t *testing.T) {
 	g := randomTree(200, 1)
 	f := writeFile(t, g, true)
-	greedy, err := Greedy(f)
+	greedy, err := GreedyCtx(context.Background(), f, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cover := VertexCover(greedy.InSet)
-	if err := VerifyVertexCover(f, cover); err != nil {
+	if err := VerifyVertexCoverCtx(context.Background(), f, cover, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	// A broken cover must be rejected.
@@ -155,7 +156,7 @@ func TestVertexCover(t *testing.T) {
 	}
 	// Removing one cover vertex leaves some edge uncovered unless the
 	// vertex was isolated; trees have no isolated vertices.
-	if err := VerifyVertexCover(f, cover); err == nil {
+	if err := VerifyVertexCoverCtx(context.Background(), f, cover, Hooks{}); err == nil {
 		t.Fatal("expected uncovered edge after removing a cover vertex")
 	}
 }
@@ -164,7 +165,7 @@ func TestWeiBound(t *testing.T) {
 	// Star: 1/(k+1) + k/2. Exact independence number is k, and Wei's bound
 	// must be below it but above 1.
 	g := writeFile(t, graph.FromEdges(5, [][2]uint32{{0, 1}, {0, 2}, {0, 3}, {0, 4}}), true)
-	w, err := WeiBound(g)
+	w, err := WeiBoundCtx(context.Background(), g, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +177,11 @@ func TestWeiBound(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		tr := randomTree(500, seed)
 		f := writeFile(t, tr, true)
-		wb, err := WeiBound(f)
+		wb, err := WeiBoundCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Greedy(f)
+		r, err := GreedyCtx(context.Background(), f, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

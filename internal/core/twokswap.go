@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"repro/internal/gio"
@@ -34,10 +33,9 @@ type twoKState struct {
 	// adj answers adjacency queries against the record in hand.
 	adj adjacency
 
-	// carry holds the cross-round collection (A vertices with adjacency;
-	// the I vertices' carry indexes go into isn): round r's setup/post-swap
-	// scan collects, round r+1's pre-swap and validating swap passes
-	// replay. Nil under an Unfused schedule.
+	// carry holds the cross-round collection (A vertices with adjacency):
+	// round r's setup/post-swap scan collects, round r+1's pre-swap and
+	// validating swap passes replay. Nil under an Unfused schedule.
 	carry *carryCollector
 
 	// groups registers each fired skeleton's leaving IS vertices and
@@ -50,7 +48,7 @@ type twoKState struct {
 	canSwap bool
 }
 
-// TwoKSwap runs Algorithms 3 and 4: starting from the independent set
+// TwoKSwapCtx runs Algorithms 3 and 4: starting from the independent set
 // initial, it fires 2-3 swap skeletons (two IS vertices exchanged for three
 // or more non-IS vertices) in addition to every 1-k swap, using the SC
 // swap-candidate store. A round comprises three logical passes — pre-swap,
@@ -75,14 +73,10 @@ type twoKState struct {
 // adjacency list and rolls back a whole skeleton group if two passengers
 // from different groups turn out to be adjacent — an edge no SC pair ever
 // examined.
-func TwoKSwap(f Source, initial []bool, opts SwapOptions) (*Result, error) {
-	return TwoKSwapCtx(context.Background(), f, initial, opts, Hooks{})
-}
-
-// TwoKSwapCtx is TwoKSwap bound to a context and run hooks: ctx cancels
-// between batches, between rounds and before carried-collection replays;
-// hooks.OnScan observes per-batch progress and hooks.OnRound each completed
-// round with its gain and I/O delta.
+//
+// ctx cancels between batches, between rounds and before carried-collection
+// replays; hooks.OnScan observes per-batch progress and hooks.OnRound each
+// completed round with its gain and I/O delta.
 func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions, h Hooks) (*Result, error) {
 	n := f.NumVertices()
 	if len(initial) != n {
@@ -99,7 +93,7 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 		index:  semiext.NewCandidateIndex(),
 	}
 	if !opts.Unfused {
-		st.carry = newCarryCollector(states, st.isn)
+		st.carry = newCarryCollector(states)
 	}
 	size := 0
 	for v, in := range initial {
@@ -197,8 +191,8 @@ func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastBy
 		// Replay both carried passes against the completed product of the
 		// previous scan: pre-swap over the buffered A records, then the
 		// validating swap pass over the resulting P vertices (from the same
-		// buffer) interleaved with the R vertices in exact scan order. The
-		// carried path honors cancellation like the dedicated scans would.
+		// buffer) and the R vertices (see replaySwap). The carried path
+		// honors cancellation like the dedicated scans would.
 		if err := rn.err(); err != nil {
 			return false, fmt.Errorf("core: two-k-swap: pre-swap (carried): %w", err)
 		}
@@ -488,57 +482,42 @@ func (st *twoKState) swapValidateP(u uint32, neighbors []uint32) {
 	st.groups.confirm(g2, u)
 }
 
-// swapValidateR resolves one R vertex: reinstated if its group failed,
-// otherwise it leaves the set and the round counts as having swapped.
+// swapValidateR lets one R vertex leave the set, and the round counts as
+// having swapped. Its group has not failed: a failing group resets its own
+// R vertices to I (swapGroups.fail), and this runs only on state R.
 func (st *twoKState) swapValidateR(u uint32) {
-	if gi, _ := st.groups.of(u); st.groups.failed(gi) {
-		st.states.Set(u, semiext.StateIS) // reinstated
-	} else {
-		st.states.Set(u, semiext.StateNonIS)
-		st.canSwap = true
-	}
+	st.states.Set(u, semiext.StateNonIS)
+	st.canSwap = true
 }
 
 // replaySwap runs the validating swap pass from the cross-round carry
 // instead of a dedicated scan. Every P vertex was an A vertex when the
 // carry was collected, so its adjacency list is in the buffer; the R
-// vertices (IS vertices demoted by the pre-swap replay, registered in their
-// swap groups) carry no adjacency reads but their position in the scan
-// matters — a group's failure mid-scan decides whether a later-scanned R
-// leaves or is reinstated, and whether its departure counts toward canSwap
-// — so they are interleaved with the buffered records in exact scan order.
-// An R vertex's carry index counts the buffered records scanned before it,
-// so it precedes buffered record i exactly when its index is ≤ i. Several R
-// vertices between the same two records may go in any order: only a P
-// vertex fails a group.
+// vertices (IS vertices demoted by the pre-swap replay) carry no adjacency
+// reads and are found through their swap groups. The replay validates every
+// buffered P vertex in scan order, then the R vertices still in state R,
+// and reaches the dedicated scan's states and canSwap:
+//   - a P vertex's verdict reads only which of its neighbors are I, and an
+//     R vertex is not I whether or not it has left yet;
+//   - a failing group resets its own R vertices to I, so the R vertices
+//     left after the P vertices are exactly those of the surviving groups;
+//   - every group failure is set off by a confirmed member of a group that
+//     has not failed at that moment, so when any group fired, the last
+//     failure leaves a survivor, whose R vertices set canSwap in either
+//     order.
 func (st *twoKState) replaySwap() {
 	st.canSwap = false
-	type rv struct{ index, v uint32 }
-	var rs []rv
-	for _, g := range st.groups.list {
-		for _, w := range g.ws {
-			if w != semiext.NoVertex && st.states.Get(w) == semiext.StateRetrograde {
-				rs = append(rs, rv{st.isn.CarryIndex(w), w})
-			}
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].index < rs[j].index })
-
-	ri := 0
 	buf := st.carry.buf
 	for i := 0; i < buf.Len(); i++ {
-		for ; ri < len(rs) && int(rs[ri].index) <= i; ri++ {
-			if st.states.Get(rs[ri].v) == semiext.StateRetrograde {
-				st.swapValidateR(rs[ri].v)
-			}
-		}
 		if u := buf.ID(i); st.states.Get(u) == semiext.StateProtected {
 			st.swapValidateP(u, buf.Neighbors(i))
 		}
 	}
-	for ; ri < len(rs); ri++ {
-		if st.states.Get(rs[ri].v) == semiext.StateRetrograde {
-			st.swapValidateR(rs[ri].v)
+	for _, g := range st.groups.list {
+		for _, w := range g.ws {
+			if w != semiext.NoVertex && st.states.Get(w) == semiext.StateRetrograde {
+				st.swapValidateR(w)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// UpperBound runs Algorithm 5 (Appendix): a one-scan star-partition upper
+// UpperBoundCtx runs Algorithm 5 (Appendix): a one-scan star-partition upper
 // bound on the independence number. Each unvisited vertex v claims its
 // unvisited neighbors as a star; a star with N ≥ 1 leaves can contribute at
 // most N independent vertices (an independent set cannot contain the center
@@ -17,11 +17,6 @@ import (
 // paper does (it cannot compute exact independence numbers at scale). The
 // scan is one logical pass on the scheduler, touching only its pass-private
 // visited array.
-func UpperBound(f Source) (uint64, error) {
-	return UpperBoundCtx(context.Background(), f, Hooks{})
-}
-
-// UpperBoundCtx is UpperBound bound to a context and run hooks.
 func UpperBoundCtx(ctx context.Context, f Source, h Hooks) (uint64, error) {
 	n := f.NumVertices()
 	visited := make([]bool, n)

@@ -20,15 +20,10 @@ func VertexCover(inSet []bool) []bool {
 	return cover
 }
 
-// VerifyVertexCover checks with one sequential scan that every edge of f
-// has at least one endpoint in the cover.
-func VerifyVertexCover(f Source, cover []bool) error {
-	return VerifyVertexCoverCtx(context.Background(), f, cover, Hooks{})
-}
-
-// VerifyVertexCoverCtx is VerifyVertexCover bound to a context and run
-// hooks. Like the other verify passes it records only the first violation
-// in scan order and opts out of the rest of the stream.
+// VerifyVertexCoverCtx checks with one sequential scan that every edge of f
+// has at least one endpoint in the cover. Like the other verify passes it
+// records only the first violation in scan order and opts out of the rest
+// of the stream.
 func VerifyVertexCoverCtx(ctx context.Context, f Source, cover []bool, h Hooks) error {
 	if len(cover) != f.NumVertices() {
 		return fmt.Errorf("core: verify cover: %d entries for %d vertices", len(cover), f.NumVertices())
@@ -57,15 +52,10 @@ func VerifyVertexCoverCtx(ctx context.Context, f Source, cover []bool, h Hooks) 
 	return s.Run()
 }
 
-// WeiBound returns Wei's lower bound on the independence number,
+// WeiBoundCtx returns Wei's lower bound on the independence number,
 // Σ_v 1/(deg(v)+1), computed with one sequential scan. Every graph has an
 // independent set at least this large (Wei 1981, cited as [25]); it is a
 // useful sanity floor under the algorithms' results.
-func WeiBound(f Source) (float64, error) {
-	return WeiBoundCtx(context.Background(), f, Hooks{})
-}
-
-// WeiBoundCtx is WeiBound bound to a context and run hooks.
 func WeiBoundCtx(ctx context.Context, f Source, h Hooks) (float64, error) {
 	var sum float64
 	s := pipeline.New(f, newRun(ctx, h).sopts(false))

@@ -11,7 +11,7 @@ import (
 
 // The verify scans are logical passes that read the shared membership array
 // and mutate nothing, so the planner fuses any sequence of them into a
-// single physical scan (VerifyBoth). To keep fused and unfused error
+// single physical scan (VerifyBothCtx). To keep fused and unfused error
 // behavior identical, a verify pass records only the first violation in scan
 // order, opts out of the rest of the stream with ErrStopScan — the scheduler
 // cuts the scan short once every pass in the group has opted out, so a lone
@@ -78,14 +78,8 @@ func checkSetSize(f Source, inSet []bool) error {
 	return nil
 }
 
-// VerifyIndependent checks, with one sequential scan, that no edge of f has
-// both endpoints in the set.
-func VerifyIndependent(f Source, inSet []bool) error {
-	return VerifyIndependentCtx(context.Background(), f, inSet, Hooks{})
-}
-
-// VerifyIndependentCtx is VerifyIndependent bound to a context and run
-// hooks.
+// VerifyIndependentCtx checks, with one sequential scan, that no edge of f
+// has both endpoints in the set.
 func VerifyIndependentCtx(ctx context.Context, f Source, inSet []bool, h Hooks) error {
 	if err := checkSetSize(f, inSet); err != nil {
 		return err
@@ -95,13 +89,9 @@ func VerifyIndependentCtx(ctx context.Context, f Source, inSet []bool, h Hooks) 
 	return s.Run()
 }
 
-// VerifyMaximal checks, with one sequential scan, that every vertex outside
-// the set has a neighbor inside it (assuming the set is independent).
-func VerifyMaximal(f Source, inSet []bool) error {
-	return VerifyMaximalCtx(context.Background(), f, inSet, Hooks{})
-}
-
-// VerifyMaximalCtx is VerifyMaximal bound to a context and run hooks.
+// VerifyMaximalCtx checks, with one sequential scan, that every vertex
+// outside the set has a neighbor inside it (assuming the set is
+// independent).
 func VerifyMaximalCtx(ctx context.Context, f Source, inSet []bool, h Hooks) error {
 	if err := checkSetSize(f, inSet); err != nil {
 		return err
@@ -111,30 +101,21 @@ func VerifyMaximalCtx(ctx context.Context, f Source, inSet []bool, h Hooks) erro
 	return s.Run()
 }
 
-// VerifyBoth checks independence and maximality with a single fused physical
-// scan (two logical passes). An independence violation wins over a
-// maximality one, exactly as running VerifyIndependent before VerifyMaximal
-// would report.
-func VerifyBoth(f Source, inSet []bool) error {
-	return verifyBothScheduled(f, inSet, pipeline.Options{})
-}
-
-// VerifyBothCtx is VerifyBoth bound to a context and run hooks.
+// VerifyBothCtx checks independence and maximality with a single fused
+// physical scan (two logical passes). An independence violation wins over a
+// maximality one, exactly as running VerifyIndependentCtx before
+// VerifyMaximalCtx would report.
 func VerifyBothCtx(ctx context.Context, f Source, inSet []bool, h Hooks) error {
-	return verifyBothScheduled(f, inSet, newRun(ctx, h).sopts(false))
-}
-
-func verifyBothScheduled(f Source, inSet []bool, sopts pipeline.Options) error {
 	if err := checkSetSize(f, inSet); err != nil {
 		return err
 	}
-	s := pipeline.New(f, sopts)
+	s := pipeline.New(f, newRun(ctx, h).sopts(false))
 	s.Add(verifyIndependentPass(inSet))
 	s.Add(verifyMaximalPass(inSet))
 	return s.Run()
 }
 
-// VerifyIndependentGraph is the in-memory variant of VerifyIndependent.
+// VerifyIndependentGraph is the in-memory variant of VerifyIndependentCtx.
 func VerifyIndependentGraph(g *graph.Graph, inSet []bool) error {
 	for v := 0; v < g.NumVertices(); v++ {
 		if !inSet[v] {
@@ -149,7 +130,7 @@ func VerifyIndependentGraph(g *graph.Graph, inSet []bool) error {
 	return nil
 }
 
-// VerifyMaximalGraph is the in-memory variant of VerifyMaximal.
+// VerifyMaximalGraph is the in-memory variant of VerifyMaximalCtx.
 func VerifyMaximalGraph(g *graph.Graph, inSet []bool) error {
 	for v := 0; v < g.NumVertices(); v++ {
 		if inSet[v] {

@@ -11,11 +11,11 @@
 //     graph after every single update. Inserting an edge inside the set
 //     evicts one endpoint immediately — no file access needed.
 //  2. Maximality is restored lazily: evictions and deletions mark the
-//     maintainer dirty, and Repair() re-establishes maximality with one
+//     maintainer dirty, and RepairCtx re-establishes maximality with one
 //     sequential scan, amortizing file I/O over many updates — the same
 //     lazy ethos as the paper's greedy algorithm.
 //
-// Materialize writes the effective graph (base ∖ tombstones ∪ delta) to a
+// MaterializeCtx writes the effective graph (base ∖ tombstones ∪ delta) to a
 // fresh adjacency file so the full swap pipeline can re-optimize when the
 // delta has grown large.
 package dynamic
@@ -252,32 +252,31 @@ func (e *ViolationError) Error() string {
 	return fmt.Sprintf("dynamic: edge {%d,%d} inside the set (found at scan record %d)", e.U, e.V, e.Record)
 }
 
-// Repair restores maximality with one sequential scan: every vertex outside
-// the set with no effective IS neighbor joins, in scan order. It returns the
-// number of vertices added.
-func (m *Maintainer) Repair() (int, error) { return m.RepairCtx(context.Background()) }
-
-// RepairCtx is Repair bound to a context: cancellation stops the scan
-// within one batch and surfaces as a *gio.ScanError carrying the position.
-// A canceled repair leaves the set independent (additions are monotone) but
+// RepairCtx restores maximality with one sequential scan: every vertex
+// outside the set with no effective IS neighbor joins, in scan order. It
+// returns the number of vertices added. Cancellation stops the scan within
+// one batch and surfaces as a *gio.ScanError carrying the position; a
+// canceled repair leaves the set independent (additions are monotone) but
 // still dirty.
 func (m *Maintainer) RepairCtx(ctx context.Context) (int, error) {
 	addedCount := 0
 	var buf []uint32
-	err := m.f.ForEachCtx(ctx, func(r gio.Record) error {
-		u := r.ID
-		if m.inSet[u] {
-			return nil
-		}
-		buf = m.effectiveNeighbors(u, r.Neighbors, buf)
-		for _, nb := range buf {
-			if m.inSet[nb] {
-				return nil
+	err := m.f.ForEachBatchCtx(ctx, func(batch []gio.Record) error {
+	records:
+		for _, r := range batch {
+			if m.inSet[r.ID] {
+				continue
 			}
+			buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
+			for _, nb := range buf {
+				if m.inSet[nb] {
+					continue records
+				}
+			}
+			m.inSet[r.ID] = true
+			m.size++
+			addedCount++
 		}
-		m.inSet[u] = true
-		m.size++
-		addedCount++
 		return nil
 	})
 	if err != nil {
@@ -289,49 +288,42 @@ func (m *Maintainer) RepairCtx(ctx context.Context) (int, error) {
 	return addedCount, nil
 }
 
-// Verify checks invariant 1 — the set is independent in the effective
+// VerifyCtx checks invariant 1 — the set is independent in the effective
 // graph — with one sequential scan plus the in-memory delta. A violation
-// surfaces as a *ViolationError; a scan failure as the underlying
-// (*gio.ScanError-typed) error.
-func (m *Maintainer) Verify() error { return m.VerifyCtx(context.Background()) }
-
-// VerifyCtx is Verify bound to a context (see RepairCtx).
+// surfaces as a *ViolationError; a scan failure, cancellation included (see
+// RepairCtx), as the underlying (*gio.ScanError-typed) error.
 func (m *Maintainer) VerifyCtx(ctx context.Context) error {
 	var buf []uint32
 	var scanned uint64
-	return m.f.ForEachCtx(ctx, func(r gio.Record) error {
-		scanned++
-		if !m.inSet[r.ID] {
-			return nil
-		}
-		buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
-		for _, nb := range buf {
-			if m.inSet[nb] {
-				return &ViolationError{U: r.ID, V: nb, Record: scanned}
+	return m.f.ForEachBatchCtx(ctx, func(batch []gio.Record) error {
+		for _, r := range batch {
+			scanned++
+			if !m.inSet[r.ID] {
+				continue
+			}
+			// Inserted edges between vertices whose base records carry no
+			// trace of each other are covered too: effectiveNeighbors
+			// includes the delta at every record.
+			buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
+			for _, nb := range buf {
+				if m.inSet[nb] {
+					return &ViolationError{U: r.ID, V: nb, Record: scanned}
+				}
 			}
 		}
-		// Inserted edges between vertices whose base records carry no trace
-		// of each other are covered too: effectiveNeighbors includes the
-		// delta at every record.
 		return nil
 	})
 }
 
-// Materialize writes the effective graph to path as a degree-sorted
+// MaterializeCtx writes the effective graph to path as a degree-sorted
 // adjacency file, so the swap pipeline can re-optimize from scratch once
 // the delta has grown past the caller's threshold. The file is in Section
 // 4.1's order, records and neighbor lists alike ascending by (degree, ID):
 // byte for byte what gio.WriteGraphSorted writes for the effective graph.
 // It appears at path atomically — written to a temp file, fsynced, then
 // renamed — so an error or crash mid-write never leaves a partial file at
-// the destination.
-func (m *Maintainer) Materialize(path string) error {
-	return m.MaterializeCtx(context.Background(), path)
-}
-
-// MaterializeCtx is Materialize bound to a context: cancellation stops the
-// scan within one batch, removes the temp file, and leaves the destination
-// untouched.
+// the destination. Cancellation stops the scan within one batch, removes
+// the temp file, and leaves the destination untouched.
 func (m *Maintainer) MaterializeCtx(ctx context.Context, path string) error {
 	// One scan gathers the effective records into flat arrays, in scan
 	// order: ids[i]'s neighbors are nbrs[offs[i]:offs[i+1]].
@@ -339,12 +331,14 @@ func (m *Maintainer) MaterializeCtx(ctx context.Context, path string) error {
 	offs := make([]int, 1, m.n+1)
 	var nbrs, buf []uint32
 	rank := make([]uint32, m.n) // effective degrees, then ranks
-	err := m.f.ForEachCtx(ctx, func(r gio.Record) error {
-		buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
-		ids = append(ids, r.ID)
-		nbrs = append(nbrs, buf...)
-		offs = append(offs, len(nbrs))
-		rank[r.ID] = uint32(len(buf))
+	err := m.f.ForEachBatchCtx(ctx, func(batch []gio.Record) error {
+		for _, r := range batch {
+			buf = m.effectiveNeighbors(r.ID, r.Neighbors, buf)
+			ids = append(ids, r.ID)
+			nbrs = append(nbrs, buf...)
+			offs = append(offs, len(nbrs))
+			rank[r.ID] = uint32(len(buf))
+		}
 		return nil
 	})
 	if err != nil {

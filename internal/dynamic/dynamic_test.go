@@ -31,7 +31,7 @@ func openGraph(t *testing.T, g *graph.Graph) *gio.File {
 
 func greedySet(t *testing.T, f *gio.File) []bool {
 	t.Helper()
-	r, err := core.Greedy(f)
+	r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestInsertEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.VerifyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Force an intra-set edge.
@@ -116,7 +116,7 @@ func TestInsertEvicts(t *testing.T) {
 	if m.Evictions() != 1 || !m.Dirty() {
 		t.Fatal("eviction accounting wrong")
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.VerifyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,14 +158,14 @@ func TestDeleteThenRepairAdds(t *testing.T) {
 	if !m.Dirty() {
 		t.Fatal("deletions must mark dirty")
 	}
-	added, err := m.Repair()
+	added, err := m.RepairCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 1 || !m.Contains(0) {
 		t.Fatalf("repair added %d (contains0=%v), want the center", added, m.Contains(0))
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.VerifyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -182,10 +182,10 @@ func TestReinsertDeletedEdge(t *testing.T) {
 	if err := m.InsertEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Verify(); err != nil {
+	if err := m.VerifyCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Repair(); err != nil {
+	if _, err := m.RepairCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// 0-1-2 path restored: a maximal independent set has ≤ 2 vertices and
@@ -227,7 +227,7 @@ func TestRandomUpdateStream(t *testing.T) {
 				t.Fatalf("seed %d step %d: set not independent", seed, step)
 			}
 			if step%50 == 49 {
-				if _, err := m.Repair(); err != nil {
+				if _, err := m.RepairCtx(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				if !ref.independent(m.Set()) {
@@ -236,7 +236,7 @@ func TestRandomUpdateStream(t *testing.T) {
 				if !ref.maximal(m.Set()) {
 					t.Fatalf("seed %d step %d: not maximal after repair", seed, step)
 				}
-				if err := m.Verify(); err != nil {
+				if err := m.VerifyCtx(context.Background()); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 			}
@@ -268,7 +268,7 @@ func TestMaterializeMatchesEffective(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "mat.adj")
-	if err := m.Materialize(path); err != nil {
+	if err := m.MaterializeCtx(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := gio.LoadGraph(path, nil)
@@ -312,11 +312,11 @@ func TestMaterializeMatchesEffective(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mf.Close()
-	r, err := core.Greedy(mf)
+	r, err := core.GreedyCtx(context.Background(), mf, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyIndependent(mf, r.InSet); err != nil {
+	if err := core.VerifyIndependentCtx(context.Background(), mf, r.InSet, core.Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -346,7 +346,7 @@ func TestVerifyViolationTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = m.Verify()
+	err = m.VerifyCtx(context.Background())
 	var ve *ViolationError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Verify returned %T (%v), want *ViolationError", err, err)
@@ -371,7 +371,7 @@ func TestVerifyViolationTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.inSet[0], m2.inSet[3] = true, true // bypass eviction to fake corruption
-	if err := m2.Verify(); !errors.As(err, &ve) {
+	if err := m2.VerifyCtx(context.Background()); !errors.As(err, &ve) {
 		t.Fatalf("delta violation: %T (%v), want *ViolationError", err, err)
 	}
 }
@@ -416,7 +416,7 @@ func TestMaterializeAtomicReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "snap.adj")
-	if err := m.Materialize(dst); err != nil {
+	if err := m.MaterializeCtx(context.Background(), dst); err != nil {
 		t.Fatal(err)
 	}
 	before, err := gio.LoadGraph(dst, nil)
@@ -440,7 +440,7 @@ func TestMaterializeAtomicReplace(t *testing.T) {
 		t.Fatalf("failed rewrite changed the destination: %d edges, had %d", after.NumEdges(), before.NumEdges())
 	}
 	// And a successful rewrite flips to the new content.
-	if err := m.Materialize(dst); err != nil {
+	if err := m.MaterializeCtx(context.Background(), dst); err != nil {
 		t.Fatal(err)
 	}
 	final, err := gio.LoadGraph(dst, nil)

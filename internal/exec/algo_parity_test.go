@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -46,41 +47,41 @@ func TestAlgorithmParity(t *testing.T) {
 				seqF, parF := openPair(t, path)
 				ex := New(parF, workers)
 
-				wantG, err := core.Greedy(seqF)
+				wantG, err := core.GreedyCtx(context.Background(), seqF, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotG, err := core.Greedy(ex)
+				gotG, err := core.GreedyCtx(context.Background(), ex, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertResultsEqual(t, fmt.Sprintf("greedy workers=%d", workers), gotG, wantG)
 
-				wantOne, err := core.OneKSwap(seqF, wantG.InSet, core.SwapOptions{})
+				wantOne, err := core.OneKSwapCtx(context.Background(), seqF, wantG.InSet, core.SwapOptions{}, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotOne, err := core.OneKSwap(ex, gotG.InSet, core.SwapOptions{})
+				gotOne, err := core.OneKSwapCtx(context.Background(), ex, gotG.InSet, core.SwapOptions{}, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertResultsEqual(t, fmt.Sprintf("one-k-swap workers=%d", workers), gotOne, wantOne)
 
-				wantTwo, err := core.TwoKSwap(seqF, wantG.InSet, core.SwapOptions{})
+				wantTwo, err := core.TwoKSwapCtx(context.Background(), seqF, wantG.InSet, core.SwapOptions{}, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTwo, err := core.TwoKSwap(ex, gotG.InSet, core.SwapOptions{})
+				gotTwo, err := core.TwoKSwapCtx(context.Background(), ex, gotG.InSet, core.SwapOptions{}, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertResultsEqual(t, fmt.Sprintf("two-k-swap workers=%d", workers), gotTwo, wantTwo)
 
-				wantUB, err := core.UpperBound(seqF)
+				wantUB, err := core.UpperBoundCtx(context.Background(), seqF, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotUB, err := core.UpperBound(ex)
+				gotUB, err := core.UpperBoundCtx(context.Background(), ex, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,16 +89,16 @@ func TestAlgorithmParity(t *testing.T) {
 					t.Fatalf("upper bound workers=%d: got %d, want %d", workers, gotUB, wantUB)
 				}
 
-				if err := core.VerifyIndependent(ex, gotTwo.InSet); err != nil {
+				if err := core.VerifyIndependentCtx(context.Background(), ex, gotTwo.InSet, core.Hooks{}); err != nil {
 					t.Fatal(err)
 				}
-				if err := core.VerifyMaximal(ex, gotTwo.InSet); err != nil {
+				if err := core.VerifyMaximalCtx(context.Background(), ex, gotTwo.InSet, core.Hooks{}); err != nil {
 					t.Fatal(err)
 				}
-				if err := core.VerifyIndependent(seqF, wantTwo.InSet); err != nil {
+				if err := core.VerifyIndependentCtx(context.Background(), seqF, wantTwo.InSet, core.Hooks{}); err != nil {
 					t.Fatal(err)
 				}
-				if err := core.VerifyMaximal(seqF, wantTwo.InSet); err != nil {
+				if err := core.VerifyMaximalCtx(context.Background(), seqF, wantTwo.InSet, core.Hooks{}); err != nil {
 					t.Fatal(err)
 				}
 
@@ -139,23 +140,23 @@ func TestFusedUnfusedWorkerMatrix(t *testing.T) {
 			if workers > 1 {
 				src = New(f, workers)
 			}
-			greedy, err := core.Greedy(src)
+			greedy, err := core.GreedyCtx(context.Background(), src, core.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := core.SwapOptions{Unfused: unfused}
-			one, err := core.OneKSwap(src, greedy.InSet, opts)
+			one, err := core.OneKSwapCtx(context.Background(), src, greedy.InSet, opts, core.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := core.TwoKSwap(src, greedy.InSet, opts)
+			two, err := core.TwoKSwapCtx(context.Background(), src, greedy.InSet, opts, core.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := core.VerifyBoth(src, one.InSet); err != nil {
+			if err := core.VerifyBothCtx(context.Background(), src, one.InSet, core.Hooks{}); err != nil {
 				t.Fatalf("workers=%d unfused=%v: one-k result failed verify: %v", workers, unfused, err)
 			}
-			if err := core.VerifyBoth(src, two.InSet); err != nil {
+			if err := core.VerifyBothCtx(context.Background(), src, two.InSet, core.Hooks{}); err != nil {
 				t.Fatalf("workers=%d unfused=%v: two-k result failed verify: %v", workers, unfused, err)
 			}
 			for alg, r := range map[string]*core.Result{"one-k": one, "two-k": two} {

@@ -117,7 +117,7 @@ func runScan(t testing.TB, path string, workers, blockSize int) (out scanOutcome
 		return nil
 	}
 	if workers == 1 {
-		out.err = f.ForEachBatch(collect)
+		out.err = f.ForEachBatchCtx(context.Background(), collect)
 	} else {
 		// Warm the partition plan so this scan exercises the parallel merge
 		// path rather than the cold-start sequential capture scan (which has

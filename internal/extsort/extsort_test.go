@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,22 +44,24 @@ func checkSorted(t *testing.T, dst string, g *graph.Graph) {
 	}
 	seen := make([]bool, g.NumVertices())
 	prevDeg, prevID := -1, -1
-	err = f.ForEach(func(r gio.Record) error {
-		if seen[r.ID] {
-			t.Fatalf("vertex %d appears twice", r.ID)
-		}
-		seen[r.ID] = true
-		d := len(r.Neighbors)
-		if d < prevDeg || (d == prevDeg && int(r.ID) < prevID) {
-			t.Fatalf("order violated at vertex %d (deg %d after deg %d id %d)", r.ID, d, prevDeg, prevID)
-		}
-		prevDeg, prevID = d, int(r.ID)
-		if d != g.Degree(r.ID) {
-			t.Fatalf("vertex %d: degree %d, want %d", r.ID, d, g.Degree(r.ID))
-		}
-		for _, nb := range r.Neighbors {
-			if !g.HasEdge(r.ID, nb) {
-				t.Fatalf("invented edge {%d,%d}", r.ID, nb)
+	err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+		for _, r := range batch {
+			if seen[r.ID] {
+				t.Fatalf("vertex %d appears twice", r.ID)
+			}
+			seen[r.ID] = true
+			d := len(r.Neighbors)
+			if d < prevDeg || (d == prevDeg && int(r.ID) < prevID) {
+				t.Fatalf("order violated at vertex %d (deg %d after deg %d id %d)", r.ID, d, prevDeg, prevID)
+			}
+			prevDeg, prevID = d, int(r.ID)
+			if d != g.Degree(r.ID) {
+				t.Fatalf("vertex %d: degree %d, want %d", r.ID, d, g.Degree(r.ID))
+			}
+			for _, nb := range r.Neighbors {
+				if !g.HasEdge(r.ID, nb) {
+					t.Fatalf("invented edge {%d,%d}", r.ID, nb)
+				}
 			}
 		}
 		return nil
@@ -179,12 +182,14 @@ func TestSortProperty(t *testing.T) {
 		prev := -1
 		seen := 0
 		ok := true
-		_ = out.ForEach(func(r gio.Record) error {
-			if len(r.Neighbors) < prev || len(r.Neighbors) != g.Degree(r.ID) {
-				ok = false
+		_ = out.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+			for _, r := range batch {
+				if len(r.Neighbors) < prev || len(r.Neighbors) != g.Degree(r.ID) {
+					ok = false
+				}
+				prev = len(r.Neighbors)
+				seen++
 			}
-			prev = len(r.Neighbors)
-			seen++
 			return nil
 		})
 		return ok && seen == n

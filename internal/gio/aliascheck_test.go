@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"context"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func retainAcrossBatches(t *testing.T, path string) []uint32 {
 	defer f.Close()
 	var retained []uint32
 	batches := 0
-	err = f.ForEachBatch(func(batch []Record) error {
+	err = f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		batches++
 		if retained == nil {
 			for _, r := range batch {
@@ -87,7 +88,7 @@ func TestAliasCheckCleanUseUnaffected(t *testing.T) {
 		}
 		defer f.Close()
 		var out []Record
-		if err := f.ForEach(func(r Record) error {
+		if err := eachRecord(f, func(r Record) error {
 			out = append(out, Record{ID: r.ID, Neighbors: append([]uint32(nil), r.Neighbors...)})
 			return nil
 		}); err != nil {

@@ -18,11 +18,11 @@ import (
 //     measure old-vs-new throughput from the same binary, which is how
 //     BENCH_scan.json tracks the speedup across PRs.
 //
-// New code should use Scan / ForEach / ForEachBatch instead.
+// New code should use ForEachBatchCtx instead.
 
 // ForEachBytewise runs one full sequential scan using the byte-at-a-time
 // reference decoder, invoking fn for every record. Stats accounting matches
-// ForEach on completed scans.
+// ForEachBatchCtx on completed scans.
 func (g *File) ForEachBytewise(fn func(Record) error) error {
 	sc, err := g.scanBytewise()
 	if err != nil {

@@ -90,7 +90,7 @@ func TestCompressedScanOrderPreserved(t *testing.T) {
 		t.Fatal("flag lost")
 	}
 	prev := -1
-	err = f.ForEach(func(r Record) error {
+	err = eachRecord(f, func(r Record) error {
 		if len(r.Neighbors) < prev {
 			t.Fatal("record degree order lost under compression")
 		}
@@ -126,7 +126,7 @@ func TestCompressedTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := f.ForEach(func(Record) error { return nil }); err == nil {
+	if err := eachRecord(f, func(Record) error { return nil }); err == nil {
 		t.Fatal("truncated compressed file scanned cleanly")
 	}
 }

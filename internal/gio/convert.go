@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -118,8 +119,8 @@ func WriteGraphSorted(path string, g *graph.Graph, stats *Counters) error {
 }
 
 // LoadGraph reads an entire adjacency file into memory. Intended for small
-// graphs, the DynamicUpdate baseline and tests; semi-external algorithms use
-// File.Scan instead.
+// graphs and tests; semi-external algorithms scan the file with
+// File.ForEachBatchCtx instead.
 func LoadGraph(path string, stats *Counters) (*graph.Graph, error) {
 	f, err := Open(path, 0, stats)
 	if err != nil {
@@ -127,7 +128,7 @@ func LoadGraph(path string, stats *Counters) (*graph.Graph, error) {
 	}
 	defer f.Close()
 	b := graph.NewBuilder(f.NumVertices())
-	err = f.ForEachBatch(func(batch []Record) error {
+	err = f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		for _, r := range batch {
 			for _, n := range r.Neighbors {
 				b.AddEdge(r.ID, n)

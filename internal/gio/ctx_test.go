@@ -62,7 +62,7 @@ func TestForEachBatchCtxCancel(t *testing.T) {
 
 	// The file remains fully usable for the next (uncancelled) scan.
 	records := uint64(0)
-	if err := f.ForEachBatch(func(batch []Record) error {
+	if err := f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		records += uint64(len(batch))
 		return nil
 	}); err != nil {
@@ -145,7 +145,7 @@ func TestWithCountersViews(t *testing.T) {
 		wg.Add(1)
 		go func(i int, v *File) {
 			defer wg.Done()
-			errs[i] = v.ForEachBatch(func(batch []Record) error {
+			errs[i] = v.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 				counts[i] += uint64(len(batch))
 				return nil
 			})

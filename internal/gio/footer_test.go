@@ -107,7 +107,7 @@ func TestFooterlessFallback(t *testing.T) {
 		t.Fatalf("payload end %d != size %d on footerless file", f.PayloadEnd(), size)
 	}
 	var n int
-	if err := f.ForEach(func(Record) error { n++; return nil }); err != nil {
+	if err := eachRecord(f, func(Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != g.NumVertices() {
@@ -163,7 +163,7 @@ func TestFooterCorruptFallsBack(t *testing.T) {
 			t.Fatalf("%s: corrupt footer accepted", name)
 		}
 		var n int
-		if err := f.ForEach(func(Record) error { n++; return nil }); err != nil {
+		if err := eachRecord(f, func(Record) error { n++; return nil }); err != nil {
 			t.Fatalf("%s: scan: %v", name, err)
 		}
 		if n != g.NumVertices() {
@@ -208,7 +208,7 @@ func TestWriterVertexCountOverride(t *testing.T) {
 		t.Fatalf("records = %d, want 3", f.NumRecords())
 	}
 	var ids []uint32
-	if err := f.ForEach(func(r Record) error { ids = append(ids, r.ID); return nil }); err != nil {
+	if err := eachRecord(f, func(r Record) error { ids = append(ids, r.ID); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ids, []uint32{500, 501, 502}) {
@@ -286,7 +286,7 @@ func TestFooterEmptyFile(t *testing.T) {
 	if !f.HasFooter() || f.NumRecords() != 0 || f.PayloadEnd() != HeaderSize {
 		t.Fatalf("empty file: footer=%v records=%d payloadEnd=%d", f.HasFooter(), f.NumRecords(), f.PayloadEnd())
 	}
-	if err := f.ForEach(func(Record) error { t.Fatal("record in empty file"); return nil }); err != nil {
+	if err := eachRecord(f, func(Record) error { t.Fatal("record in empty file"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

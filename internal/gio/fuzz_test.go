@@ -83,7 +83,7 @@ func FuzzOpenAndScan(f *testing.F) {
 		defer file.Close()
 		n := file.NumVertices()
 		records := 0
-		_ = file.ForEach(func(r Record) error {
+		_ = eachRecord(file, func(r Record) error {
 			records++
 			if int(r.ID) >= n {
 				t.Fatalf("scanner delivered out-of-range id %d (n=%d)", r.ID, n)

@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -18,6 +19,19 @@ import (
 func tmpPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "g.adj")
+}
+
+// eachRecord runs one full scan of f, invoking fn for every record in scan
+// order: the per-record view of ForEachBatchCtx that most tests want.
+func eachRecord(f *File, fn func(Record) error) error {
+	return f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
+		for _, r := range batch {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func randomGraph(seed int64, n, m int) *graph.Graph {
@@ -109,7 +123,7 @@ func TestDegreeSortedOrder(t *testing.T) {
 		t.Fatal("degree-sorted flag missing")
 	}
 	prev := -1
-	err = f.ForEach(func(r Record) error {
+	err = eachRecord(f, func(r Record) error {
 		d := len(r.Neighbors)
 		if d < prev {
 			t.Fatalf("degree order violated: %d after %d", d, prev)
@@ -133,7 +147,7 @@ func TestNeighborListsSortedByDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	err = f.ForEach(func(r Record) error {
+	err = eachRecord(f, func(r Record) error {
 		for i := 1; i < len(r.Neighbors); i++ {
 			if g.Degree(r.Neighbors[i-1]) > g.Degree(r.Neighbors[i]) {
 				t.Fatalf("vertex %d: neighbor degrees out of order", r.ID)
@@ -159,7 +173,7 @@ func TestScanCounting(t *testing.T) {
 	}
 	defer f.Close()
 	for i := 0; i < 3; i++ {
-		if err := f.ForEach(func(Record) error { return nil }); err != nil {
+		if err := eachRecord(f, func(Record) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +244,7 @@ func TestTruncatedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	err = f.ForEach(func(Record) error { return nil })
+	err = eachRecord(f, func(Record) error { return nil })
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("truncated records: got %v, want ErrBadFormat", err)
 	}
@@ -266,7 +280,7 @@ func TestCorruptDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	err = f.ForEach(func(Record) error { return nil })
+	err = eachRecord(f, func(Record) error { return nil })
 	if !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("corrupt degree: got %v, want ErrBadFormat", err)
 	}
@@ -439,7 +453,7 @@ func TestScanAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := f.Scan()
+	sc, err := f.scanCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +490,7 @@ func TestEmptyGraphFile(t *testing.T) {
 		t.Fatal("empty graph header wrong")
 	}
 	count := 0
-	if err := f.ForEach(func(Record) error { count++; return nil }); err != nil {
+	if err := eachRecord(f, func(Record) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {

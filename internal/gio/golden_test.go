@@ -93,7 +93,7 @@ func TestGoldenScanRecords(t *testing.T) {
 	}
 
 	for _, path := range []string{raw, comp} {
-		for _, engine := range []string{"pipelined", "batch", "bytewise"} {
+		for _, engine := range []string{"batch", "bytewise"} {
 			got := runScan(t, path, engine, 0)
 			if got.err != nil {
 				t.Fatalf("%s %s: %v", path, engine, got.err)

@@ -23,7 +23,7 @@ import (
 // mapping, so munmap under a live reader would be a use-after-free enforced
 // by the MMU. The contract is the one the arena already implies — a batch
 // (and every Neighbors slice in it) is valid only until the next
-// NextBatch/Next call, the end of the ForEachBatch callback, or the end of
+// NextBatch/Next call, the end of the ForEachBatchCtx callback, or the end of
 // the scan — and the mapping's refcount enforces it: File.Close poisons the
 // mapping (every in-flight scan fails at its next refill or batch boundary
 // with a scan-stopped error) and the actual munmap is deferred to the moment

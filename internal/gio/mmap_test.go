@@ -58,7 +58,7 @@ func TestMmapZeroCopyAliasesMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		full, err := f.Scan()
+		full, err := f.scanCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestMmapZeroCopyAliasesMapping(t *testing.T) {
 
 		// A batch handed over by SwapBuffers must survive the window being
 		// compacted and refilled under the batches decoded after it.
-		sc, err := f.Scan()
+		sc, err := f.scanCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestMmapZeroCopyAliasesMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cf.Close()
-		csc, err := cf.Scan()
+		csc, err := cf.scanCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func testMmapZeroCopyAliasesMapping(t *testing.T, path string) {
 		t.Skip("zero-copy aliasing unavailable (big-endian host)")
 	}
 	records := 0
-	err = f.ForEachBatch(func(batch []Record) error {
+	err = f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		for _, r := range batch {
 			records++
 			if len(r.Neighbors) > 0 && !within(r.Neighbors, f.mm.data) {
@@ -191,7 +191,7 @@ func testMmapZeroCopyAliasesMapping(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := f.Scan()
+	full, err := f.scanCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMmapCompressedUsesArena(t *testing.T) {
 	}
 	base := uintptr(unsafe.Pointer(unsafe.SliceData(f.mm.data)))
 	end := base + uintptr(len(f.mm.data))
-	err = f.ForEachBatch(func(batch []Record) error {
+	err = f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		for _, r := range batch {
 			if len(r.Neighbors) == 0 {
 				continue
@@ -269,7 +269,7 @@ func TestMmapCloseMidBatch(t *testing.T) {
 		scanDone := make(chan error, 1)
 		go func() {
 			var once sync.Once
-			scanDone <- f.ForEachBatch(func(batch []Record) error {
+			scanDone <- f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 				once.Do(func() { close(started) })
 				for _, r := range batch {
 					for _, nb := range r.Neighbors {
@@ -310,7 +310,7 @@ func TestMmapCloseDuringScan(t *testing.T) {
 			var sink uint64
 			go func() {
 				var once sync.Once
-				scanDone <- f.ForEachBatch(func(batch []Record) error {
+				scanDone <- f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 					once.Do(func() { close(firstBatch) })
 					// Touch every neighbor: if Close unmapped under us this
 					// faults, and -race flags any unsynchronized teardown.
@@ -355,7 +355,7 @@ func TestMmapScanAfterClose(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = f.ForEachBatch(func([]Record) error { return nil })
+	err = f.ForEachBatchCtx(context.Background(), func([]Record) error { return nil })
 	if err == nil {
 		t.Fatal("scan on closed mapped file succeeded")
 	}
@@ -448,14 +448,14 @@ func TestMmapSupersededScanStops(t *testing.T) {
 		f.Close()
 		t.Skip("mmap unavailable on this platform/build")
 	}
-	s1, err := f.Scan()
+	s1, err := f.scanCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1.NextBatch() == nil {
 		t.Fatalf("first batch failed: %v", s1.Err())
 	}
-	s2, err := f.Scan() // supersedes s1
+	s2, err := f.scanCtx(context.Background()) // supersedes s1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestMmapFallbackParity(t *testing.T) {
 	}
 	defer f.Close()
 	var ids uint64
-	if err := f.ForEachBatch(func(batch []Record) error {
+	if err := f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		for _, r := range batch {
 			ids += uint64(r.ID)
 		}
@@ -536,7 +536,7 @@ func TestMmapViewsConcurrent(t *testing.T) {
 			scope := root.Scope()
 			v := f.WithCounters(scope)
 			defer v.Close()
-			errs[i] = v.ForEachBatch(func(batch []Record) error {
+			errs[i] = v.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 				var sink uint64
 				for _, r := range batch {
 					for _, nb := range r.Neighbors {

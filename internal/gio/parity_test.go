@@ -31,8 +31,8 @@ func (o scanOutcome) errString() string {
 	return o.err.Error()
 }
 
-// runScan scans path with the given engine ("pipelined", "batch",
-// "bytewise", "mmap" or "mmap-zerocopy") and block size, collecting
+// runScan scans path with the given engine ("batch" for the pipelined
+// engine, "bytewise", "mmap" or "mmap-zerocopy") and block size, collecting
 // records, final error and stats. The mmap engines open through OpenMmap;
 // on fallback builds they degrade to the pipelined engine, which keeps the
 // parity assertions meaningful (if trivial) under -tags nommap.
@@ -61,17 +61,8 @@ func runScan(t testing.TB, path string, engine string, blockSize int) (out scanO
 		return nil
 	}
 	switch engine {
-	case "pipelined":
-		out.err = f.ForEach(collect)
 	case "batch", "mmap", "mmap-zerocopy":
-		out.err = f.ForEachBatch(func(batch []Record) error {
-			for _, r := range batch {
-				if err := collect(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		out.err = eachRecord(f, collect)
 	case "bytewise":
 		out.err = f.ForEachBytewise(collect)
 	default:
@@ -82,7 +73,7 @@ func runScan(t testing.TB, path string, engine string, blockSize int) (out scanO
 
 // parityEngines are the engines held to bytewise-oracle parity: records,
 // errors and Stats identical on every input, malformed ones included.
-var parityEngines = []string{"pipelined", "batch", "mmap", "mmap-zerocopy"}
+var parityEngines = []string{"batch", "mmap", "mmap-zerocopy"}
 
 // assertParity scans path with every engine and requires identical
 // outcomes.

@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -112,7 +113,7 @@ func (g *File) buildCutTable() (*cutTable, error) {
 		return nil, err
 	}
 	defer pf.Close()
-	sc, err := pf.Scan()
+	sc, err := pf.scanCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}

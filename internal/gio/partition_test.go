@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -218,7 +219,7 @@ func TestPartitionsMalformed(t *testing.T) {
 	if planErr == nil {
 		t.Fatal("planning a truncated file succeeded")
 	}
-	scanErr := f.ForEachBatch(func([]Record) error { return nil })
+	scanErr := f.ForEachBatchCtx(context.Background(), func([]Record) error { return nil })
 	if scanErr == nil || planErr.Error() != scanErr.Error() {
 		t.Fatalf("plan error %q differs from scan error %q", planErr, scanErr)
 	}

@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 )
@@ -41,7 +42,7 @@ func NewRandomAccessFile(f *File) (*RandomAccessFile, error) {
 		degrees: make([]uint32, n),
 	}
 	off := int64(HeaderSize)
-	err := f.ForEachBatch(func(batch []Record) error {
+	err := f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
 		for _, r := range batch {
 			ra.offsets[r.ID] = off
 			ra.degrees[r.ID] = uint32(len(r.Neighbors))

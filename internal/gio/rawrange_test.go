@@ -79,15 +79,12 @@ func TestRawOutOfRangeNeighbor(t *testing.T) {
 	}
 	discard := func([]gio.Record) error { return nil }
 	engines := map[string]func() error{
-		"open": func() error { return open(false, false).ForEachBatch(discard) },
-		"open-record": func() error {
-			return open(false, false).ForEach(func(gio.Record) error { return nil })
-		},
+		"open": func() error { return open(false, false).ForEachBatchCtx(context.Background(), discard) },
 		"bytewise": func() error {
 			return open(false, false).ForEachBytewise(func(gio.Record) error { return nil })
 		},
-		"mmap":           func() error { return open(true, false).ForEachBatch(discard) },
-		"mmap-zerocopy":  func() error { return open(true, true).ForEachBatch(discard) },
+		"mmap":           func() error { return open(true, false).ForEachBatchCtx(context.Background(), discard) },
+		"mmap-zerocopy":  func() error { return open(true, true).ForEachBatchCtx(context.Background(), discard) },
 		"exec-workers-2": func() error { return exec.New(open(false, false), 2).ForEachBatchCtx(context.Background(), discard) },
 		"exec-mmap-zerocopy-workers-2": func() error {
 			return exec.New(open(true, true), 2).ForEachBatchCtx(context.Background(), discard)

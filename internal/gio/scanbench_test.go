@@ -6,6 +6,7 @@ package gio_test
 // comparison at larger scale and emits BENCH_scan.json.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -92,12 +93,21 @@ func benchScan(b *testing.B, path string, engine string) {
 	for i := 0; i < b.N; i++ {
 		switch engine {
 		case "pipelined":
-			err = f.ForEach(func(r gio.Record) error {
+			// A per-record callback, invoked from inside the batch scan.
+			each := func(r gio.Record) error {
 				sink += uint64(r.ID) + uint64(len(r.Neighbors))
+				return nil
+			}
+			err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+				for i := range batch {
+					if err := each(batch[i]); err != nil {
+						return err
+					}
+				}
 				return nil
 			})
 		case "batch", "mmap", "mmap-zerocopy":
-			err = f.ForEachBatch(func(batch []gio.Record) error {
+			err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
 				for _, r := range batch {
 					sink += uint64(r.ID) + uint64(len(r.Neighbors))
 				}
@@ -175,7 +185,7 @@ func BenchmarkGreedyScan(b *testing.B) {
 	b.SetBytes(size - gio.HeaderSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Greedy(f)
+		res, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
 		if err != nil {
 			b.Fatal(err)
 		}

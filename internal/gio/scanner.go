@@ -13,11 +13,12 @@ import (
 
 // File is an open adjacency file supporting repeated sequential scans.
 // It is the only way the semi-external algorithms touch the graph: every
-// Scan reads the file front to back through the block-pipelined engine —
-// a background goroutine prefetches the next block while the current one
-// decodes — with no seeks other than the implicit rewind between scans.
+// full scan (ForEachBatchCtx) reads the file front to back through the
+// block-pipelined engine — a background goroutine prefetches the next block
+// while the current one decodes — with no seeks other than the implicit
+// rewind between scans.
 //
-// One File value supports one scan at a time (a new Scan supersedes an
+// One File value supports one scan at a time (a new scan supersedes an
 // unfinished one). Concurrent runs each take their own view of the file via
 // WithCounters: views share the descriptor (all reads are positional) and
 // the partition-plan cache, but have independent active-scan slots and
@@ -226,8 +227,8 @@ func (g *File) setActive(pf *prefetcher, m *Scanner) {
 // Record is one vertex's adjacency record as stored on disk.
 //
 // Neighbors is only valid until the scanner advances past the batch that
-// produced it: the next NextBatch/Next call, the return of the ForEachBatch
-// callback, or the end of the scan, whichever comes first. A raw record's
+// produced it: the next NextBatch/Next call, the return of the
+// ForEachBatchCtx callback, or the end of the scan, whichever comes first. A raw record's
 // slice is a view of the pipelined engine's decode window on little-endian
 // hosts, which the next batch compacts and refills, and a compressed
 // record's slice a view of the arena, which the next batch overwrites:
@@ -340,18 +341,13 @@ type Scanner struct {
 	done bool
 }
 
-// Scan rewinds the file and returns a Scanner over all records, counting
+// scanCtx rewinds the file and returns a Scanner over all records, counting
 // one sequential scan in the file's Stats when the scan completes. Starting
-// a new Scan stops the prefetch pipeline of any previous unfinished one.
-func (g *File) Scan() (*Scanner, error) {
-	return g.ScanCtx(nil)
-}
-
-// ScanCtx is Scan bound to a context: when ctx is canceled or its deadline
-// passes, the scan stops within one batch, Err reports the ctx error wrapped
-// in a ScanError with the scan position, and the prefetch pipeline shuts
-// down. A nil ctx scans without cancellation, exactly like Scan.
-func (g *File) ScanCtx(ctx context.Context) (*Scanner, error) {
+// a new scan stops the prefetch pipeline of any previous unfinished one.
+// When ctx is canceled or its deadline passes, the scan stops within one
+// batch, Err reports the ctx error wrapped in a ScanError with the scan
+// position, and the prefetch pipeline shuts down. A nil ctx never cancels.
+func (g *File) scanCtx(ctx context.Context) (*Scanner, error) {
 	g.stopActive()
 	if g.mm != nil {
 		s := g.newMappedScanner(HeaderSize, 0, g.records, false)
@@ -903,41 +899,17 @@ func AppendRawRecord(dst []byte, id uint32, neighbors []uint32) []byte {
 	return dst
 }
 
-// ForEach runs one full sequential scan, invoking fn for every record.
-func (g *File) ForEach(fn func(Record) error) error {
-	return g.ForEachCtx(nil, fn)
-}
-
-// ForEachCtx is ForEach bound to a context (see ScanCtx); nil behaves like
-// ForEach.
-func (g *File) ForEachCtx(ctx context.Context, fn func(Record) error) error {
-	return g.ForEachBatchCtx(ctx, func(batch []Record) error {
-		for i := range batch {
-			if err := fn(batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ForEachBatch runs one full sequential scan, invoking fn for every decoded
-// batch of records in scan order. It is the fast path for scan-bound
-// algorithms: one callback per batch instead of per record, with the batch's
-// neighbor lists viewed in place in the window (raw) or decoded back to back
-// in one arena (compressed).
-func (g *File) ForEachBatch(fn func([]Record) error) error {
-	return g.ForEachBatchCtx(nil, fn)
-}
-
-// ForEachBatchCtx is ForEachBatch bound to a context: a canceled or expired
-// ctx stops the scan within one batch, shuts the prefetch pipeline down, and
-// returns the ctx error wrapped in a ScanError carrying the scan position. A
-// nil ctx behaves exactly like ForEachBatch. While no partition plan is
-// cached, the scan also captures one from the records flowing by (see
-// PlanCaptureViable); fn observes nothing of the capture.
+// ForEachBatchCtx runs one full sequential scan, invoking fn for every
+// decoded batch of records in scan order — one callback per batch, with the
+// batch's neighbor lists viewed in place in the window (raw) or decoded back
+// to back in one arena (compressed). It is File's only full-scan method. A
+// canceled or expired ctx stops the scan within one batch, shuts the
+// prefetch pipeline down, and returns the ctx error wrapped in a ScanError
+// carrying the scan position; a nil ctx never cancels. While no partition
+// plan is cached, the scan also captures one from the records flowing by
+// (see PlanCaptureViable); fn observes nothing of the capture.
 func (g *File) ForEachBatchCtx(ctx context.Context, fn func([]Record) error) error {
-	sc, err := g.ScanCtx(ctx)
+	sc, err := g.scanCtx(ctx)
 	if err != nil {
 		return err
 	}

@@ -150,8 +150,8 @@ func TestISNSingle(t *testing.T) {
 
 // TestISNPair walks a two-slot ISN through pair and singleton Sets on one
 // vertex: a pair bumps no witness count and its Clear decrements none, a
-// singleton written over a pair reads back as a singleton, and an I
-// vertex's carry index in its second slot leaves its count alone.
+// singleton written over a pair reads back as a singleton, and clearing
+// that singleton decrements its IS neighbor's count.
 func TestISNPair(t *testing.T) {
 	states := NewStates(10)
 	for v := uint32(0); v < 10; v++ {
@@ -185,22 +185,17 @@ func TestISNPair(t *testing.T) {
 		t.Fatalf("singleton after pair: count of 4 = %d, want 1", isn.PreimageCount(4))
 	}
 
-	isn.SetCarryIndex(4, 9)
-	if isn.CarryIndex(4) != 9 || isn.PreimageCount(4) != 1 {
-		t.Fatalf("SetCarryIndex(4, 9): carry %d, count %d, want 9, 1", isn.CarryIndex(4), isn.PreimageCount(4))
-	}
 	states.Set(1, StateProtected)
 	isn.Clear(1)
-	if isn.PreimageCount(4) != 0 || isn.CarryIndex(4) != 9 {
-		t.Fatalf("Clear(1): count %d, carry %d, want 0, 9", isn.PreimageCount(4), isn.CarryIndex(4))
+	if isn.PreimageCount(4) != 0 {
+		t.Fatalf("Clear(1): count of 4 = %d, want 0", isn.PreimageCount(4))
 	}
 }
 
 func TestISNPanics(t *testing.T) {
 	isn := NewISN(NewStates(4), false)
-	mustPanic(t, func() { isn.Set(0, 1, 2) })        // pair on one-slot ISN
-	mustPanic(t, func() { isn.Set(0) })              // no neighbors
-	mustPanic(t, func() { isn.SetCarryIndex(0, 1) }) // carry index on one-slot ISN
+	mustPanic(t, func() { isn.Set(0, 1, 2) }) // pair on one-slot ISN
+	mustPanic(t, func() { isn.Set(0) })       // no neighbors
 }
 
 func mustPanic(t *testing.T, fn func()) {
@@ -217,16 +212,15 @@ func mustPanic(t *testing.T, fn func()) {
 // the swap algorithms' state changes, with one and with two slots per
 // vertex, and checks it against a map-based model after every step: each I
 // or R vertex's PreimageCount is the number of vertices whose recorded ISN
-// is exactly that vertex, its CarryIndex (two slots) is the last one set
-// while it stayed I or R, and each A vertex's Get is its recorded ISN. The
+// is exactly that vertex, and each A vertex's Get is its recorded ISN. The
 // steps are I→R, R→N and R→I; N or C→A by Set, naming vertices in the set;
 // A→C or P, A→N and A→A (the post-swap recomputation) by Clear, before
 // Set for A→A; P, N or C→I by Join, only while no A vertex names the
-// vertex, as in the algorithms; and a carry index for an I vertex. An I or
-// R vertex's slots are read while vertices that named it before it left
-// and came back as A still hold their stale ISN, which is what rule 2's
-// guard in Clear protects, and a joining vertex's first slot still holds
-// its ISN from its time as A, which is what Join's zeroing protects.
+// vertex, as in the algorithms. An I or R vertex's slots are read while
+// vertices that named it before it left and came back as A still hold their
+// stale ISN, which is what rule 2's guard in Clear protects, and a joining
+// vertex's first slot still holds its ISN from its time as A, which is what
+// Join's zeroing protects.
 func TestISNCounterProperty(t *testing.T) {
 	for _, two := range []bool{false, true} {
 		f := func(init uint8, ops []uint32) bool {
@@ -258,7 +252,6 @@ func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
 	}
 	isn := NewISN(states, two)
 	named := map[uint32][]uint32{}       // A vertex → its ISN
-	carry := map[uint32]uint32{}         // I or R vertex → its carry index
 	in := func(want ...State) []uint32 { // vertices in any of the states
 		var out []uint32
 		for v := uint32(0); v < n; v++ {
@@ -289,7 +282,7 @@ func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
 		delete(named, u)
 	}
 	for step, op := range ops {
-		kind, a, b, c := op%8, op>>3&0xff, op>>11&0xff, op>>19
+		kind, a, b, c := op%7, op>>3&0xff, op>>11&0xff, op>>19
 		pick := func(vs []uint32) (uint32, bool) {
 			if len(vs) == 0 {
 				return 0, false
@@ -304,7 +297,6 @@ func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
 		case 1: // R→N: the swap removes it; its namers keep a stale ISN
 			if w, ok := pick(in(StateRetrograde)); ok {
 				states.Set(w, StateNonIS)
-				delete(carry, w)
 			}
 		case 2: // R→I: reinstated, keeping its count
 			if w, ok := pick(in(StateRetrograde)); ok {
@@ -338,11 +330,6 @@ func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
 					return step, fmt.Sprintf("Join(%d) left it in state %v", v, states.Get(v))
 				}
 			}
-		case 7: // a carry index for an I vertex
-			if w, ok := pick(in(StateIS)); ok && two {
-				isn.SetCarryIndex(w, c)
-				carry[w] = c
-			}
 		}
 		for v := uint32(0); v < n; v++ {
 			switch states.Get(v) {
@@ -361,9 +348,6 @@ func runISNModel(two bool, init uint8, ops []uint32) (int, string) {
 				}
 				if got := isn.PreimageCount(v); got != want {
 					return step, fmt.Sprintf("%v vertex %d: PreimageCount = %d, model %d", states.Get(v), v, got, want)
-				}
-				if want, ok := carry[v]; ok && isn.CarryIndex(v) != want {
-					return step, fmt.Sprintf("%v vertex %d: CarryIndex = %d, model %d", states.Get(v), v, isn.CarryIndex(v), want)
 				}
 			}
 		}

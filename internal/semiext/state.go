@@ -6,13 +6,11 @@
 //
 // The ISN keeps one slot per vertex for one-k-swap and two for two-k-swap,
 // read according to the vertex's state: an A vertex's slots hold its ISN,
-// an I or R vertex's first slot its witness count and (two-k-swap) its
-// second slot its carry index, and any other vertex's slots are stale. Four
-// rules keep that exact: only A vertices hold an ISN; clearing one
-// decrements its singleton IS neighbor's count only while that neighbor is
-// I or R; a vertex entering the set starts from a zero count, while a
-// reinstated R vertex keeps its own; and the carried swap replay handles an
-// R vertex before buffered record i exactly when its carry index is ≤ i.
+// an I or R vertex's first slot its witness count, and any other vertex's
+// slots are stale. Three rules keep that exact: only A vertices hold an
+// ISN; clearing one decrements its singleton IS neighbor's count only while
+// that neighbor is I or R; and a vertex entering the set starts from a zero
+// count, while a reinstated R vertex keeps its own.
 package semiext
 
 // State is a vertex's swap state (Table 3 of the paper).
@@ -147,11 +145,9 @@ func (st States) MemoryBytes() uint64 { return uint64(len(st.b)) }
 //     existence in O(deg u) without locating the partner vertex. Only
 //     singleton preimages count, because only a vertex whose sole IS
 //     neighbor is w can witness a 1-2 swap against w;
-//   - for two-k-swap, an I or R vertex's second slot holds its carry index
-//     (SetCarryIndex);
 //   - a vertex in any other state has stale slots that are never read.
 //
-// Four rules keep the overlay exact:
+// Three rules keep the overlay exact:
 //
 //  1. Only A vertices hold an ISN, so only a vertex that was A until now is
 //     ever cleared.
@@ -160,8 +156,6 @@ func (st States) MemoryBytes() uint64 { return uint64(len(st.b)) }
 //     in that slot.
 //  3. A vertex enters the set with a zero count (Join): no A vertex names a
 //     vertex outside the set. A reinstated R vertex keeps its count.
-//  4. Two-k-swap's carried swap replay handles an R vertex w before buffered
-//     record i exactly when CarryIndex(w) ≤ i.
 type ISN struct {
 	states States
 	slots  []uint32
@@ -234,20 +228,6 @@ func (isn *ISN) Get(u uint32) (w1, w2 uint32, n int) {
 // PreimageCount returns |ISN⁻¹(w)| for a vertex w in state I or R: how many
 // A vertices name exactly {w}.
 func (isn *ISN) PreimageCount(w uint32) uint32 { return isn.slots[int(w)<<isn.shift] }
-
-// SetCarryIndex records, for the I vertex w of a two-slot ISN, its carry
-// index: how many A records the cross-round carry had buffered when its
-// collection scan reached w.
-func (isn *ISN) SetCarryIndex(w, index uint32) {
-	if isn.shift == 0 {
-		panic("semiext: carry index on a one-slot ISN")
-	}
-	isn.slots[int(w)<<1+1] = index
-}
-
-// CarryIndex returns the carry index recorded for w, a vertex that has
-// stayed I or R since.
-func (isn *ISN) CarryIndex(w uint32) uint32 { return isn.slots[int(w)<<1+1] }
 
 // MemoryBytes returns the slot array's in-memory size: 4 or 8 bytes per
 // vertex.

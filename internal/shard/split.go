@@ -81,8 +81,13 @@ func SplitFile(ctx context.Context, src, dir string, o SplitOptions) (*Manifest,
 		shards:    o.Shards,
 		target:    o.TargetBytes,
 	}
-	err = f.ForEachCtx(ctx, func(r gio.Record) error {
-		return sw.append(r)
+	err = f.ForEachBatchCtx(ctx, func(batch []gio.Record) error {
+		for _, r := range batch {
+			if err := sw.append(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		sw.abort()

@@ -99,9 +99,11 @@ func KeepGenerations(n int) JournalOption {
 	return func(c *journalConfig) { c.keepGens = n }
 }
 
-// JournalWorkers sets the scan parallelism of the Files the journal opens
-// (see WithWorkers). Applies to the recovery Repair scan, Verify, and the
-// compaction materialize scan.
+// JournalWorkers sets the default scan parallelism of the Files the journal
+// opens (see WithWorkers): the worker count of solvers run over File or
+// AcquireFile that do not set their own. The journal's own scans — the
+// recovery Repair, Verify and the compaction fold — read the base file
+// sequentially whatever the value.
 func JournalWorkers(n int) JournalOption {
 	return func(c *journalConfig) { c.workers = n }
 }
@@ -290,14 +292,14 @@ func (j *Journal) errLocked() error {
 func (j *Journal) Repair(ctx context.Context) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.m.RepairCtx(ctx)
+	return j.m.Repair(ctx)
 }
 
 // Verify checks the independence invariant over base plus delta.
 func (j *Journal) Verify(ctx context.Context) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.m.VerifyCtx(ctx)
+	return j.m.Verify(ctx)
 }
 
 // Compact folds the journaled prefix into a fresh base generation, online:

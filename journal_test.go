@@ -71,7 +71,7 @@ func buildRandomBase(t *testing.T, dir string, n int, edges int, seed int64) (st
 func materializedEdges(t *testing.T, j *mis.Journal) map[uint64]bool {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.adj")
-	if err := j.Maintainer().Materialize(path); err != nil {
+	if err := j.Maintainer().Materialize(context.Background(), path); err != nil {
 		t.Fatal(err)
 	}
 	g, err := gio.LoadGraph(path, nil)

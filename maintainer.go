@@ -2,7 +2,6 @@ package mis
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/dynamic"
 )
@@ -24,7 +23,7 @@ type Maintainer struct {
 // graph. The initial set is typically a Greedy or swap result.
 func NewMaintainer(f *File, initial *Result) (*Maintainer, error) {
 	if initial == nil {
-		return nil, fmt.Errorf("mis: maintainer: nil initial set")
+		return nil, nilArg("NewMaintainer", "initial set")
 	}
 	if f.Sharded() {
 		return nil, shardedErr("maintainer")
@@ -60,23 +59,17 @@ func (m *Maintainer) Evictions() int { return m.inner.Evictions() }
 func (m *Maintainer) DeltaEdges() int { return m.inner.DeltaEdges() }
 
 // Repair restores maximality with one sequential scan and returns the
-// number of vertices added.
-func (m *Maintainer) Repair() (int, error) { return m.inner.Repair() }
-
-// RepairCtx is Repair bound to a context: cancellation stops the scan
-// within one batch and surfaces as a *gio.ScanError-wrapped ctx error. The
-// set stays independent but remains dirty.
-func (m *Maintainer) RepairCtx(ctx context.Context) (int, error) { return m.inner.RepairCtx(ctx) }
+// number of vertices added. Cancellation stops the scan within one batch
+// and surfaces as a *gio.ScanError-wrapped ctx error; the set then stays
+// independent but remains dirty.
+func (m *Maintainer) Repair(ctx context.Context) (int, error) { return m.inner.RepairCtx(ctx) }
 
 // Verify checks the independence invariant against the file and the delta.
 // A violation is a typed *dynamic.ViolationError carrying the offending
 // edge and scan position; an I/O or cancellation failure carries a
 // *gio.ScanError — so daemon callers can tell corruption from invariant
-// breakage with errors.As.
-func (m *Maintainer) Verify() error { return m.inner.Verify() }
-
-// VerifyCtx is Verify bound to a context (see RepairCtx).
-func (m *Maintainer) VerifyCtx(ctx context.Context) error { return m.inner.VerifyCtx(ctx) }
+// breakage with errors.As. Cancellation behaves as for Repair.
+func (m *Maintainer) Verify(ctx context.Context) error { return m.inner.VerifyCtx(ctx) }
 
 // Result snapshots the current set as a Result.
 func (m *Maintainer) Result() *Result {
@@ -94,12 +87,8 @@ func (m *Maintainer) Result() *Result {
 // deletions plus insertions) to path as a degree-sorted adjacency file, so
 // the full swap pipeline can re-optimize from scratch. The file appears
 // atomically (temp + fsync + rename): an error or crash mid-write never
-// leaves a partial file at path.
-func (m *Maintainer) Materialize(path string) error { return m.inner.Materialize(path) }
-
-// MaterializeCtx is Materialize bound to a context: cancellation stops the
-// scan within one batch, removes the temp file, and leaves the destination
-// untouched.
-func (m *Maintainer) MaterializeCtx(ctx context.Context, path string) error {
+// leaves a partial file at path. Cancellation stops the scan within one
+// batch, removes the temp file, and leaves the destination untouched.
+func (m *Maintainer) Materialize(ctx context.Context, path string) error {
 	return m.inner.MaterializeCtx(ctx, path)
 }

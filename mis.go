@@ -6,7 +6,7 @@
 //
 // The model assumes main memory holds a few bytes per vertex but not the
 // edges: graphs live in an on-disk adjacency file that the algorithms read
-// only through sequential scans. The package offers:
+// only through sequential scans. A Solver over an open File runs:
 //
 //   - Greedy — Algorithm 1: one scan of a degree-sorted file, a maximal
 //     independent set within ~98–99% of the optimum on power-law graphs.
@@ -15,10 +15,10 @@
 //     preemption.
 //   - TwoKSwap — Algorithms 3–4: additionally exchanges two IS vertices for
 //     k ≥ 3 others via the SC swap-candidate store.
-//   - Baselines from the paper's evaluation: BaselineGreedy (no degree
-//     sort), DynamicUpdate (classical in-memory greedy), ExternalMaximal
-//     (time-forward processing with an external priority queue), and the
-//     Algorithm 5 upper bound on the independence number.
+//   - Baselines from the paper's evaluation: AlgBaseline (Greedy without the
+//     degree sort), DynamicUpdate (classical in-memory greedy),
+//     ExternalMaximal (time-forward processing with an external priority
+//     queue), and the Algorithm 5 upper bound on the independence number.
 //
 // # Quick start
 //
@@ -38,18 +38,17 @@
 //	better, _ := solver.TwoKSwap(ctx, greedy)
 //	fmt.Println(better.Size, better.Vertices())
 //
-// The Solver is the context-first entry point: every call takes a
+// The Solver is the one entry point to the algorithms: every call takes a
 // context.Context that cancels a multi-minute scan within one decoded
 // batch, functional options tune the run (MaxRounds, Workers, …) and attach
 // observers (OnProgress, OnRound), and concurrent solvers may share one
 // File — each run accounts into its own stat scope that merges into the
-// file's totals. The context-free File methods (f.Greedy(),
-// f.TwoKSwap(seed, opts), …) remain as thin context.Background wrappers.
+// file's totals. File itself only opens, describes, digests and closes the
+// graph; Maintainer and Journal keep a set valid under edge updates, and
+// their scans take a context too.
 package mis
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/gio"
 )
@@ -74,52 +73,6 @@ func Algorithms() []Algorithm {
 		AlgGreedy, AlgBaseline, AlgOneKSwap, AlgTwoKSwap,
 		AlgDynamicUpdate, AlgExternalMaximal,
 	}
-}
-
-// SwapOptions tune the swap algorithms; the zero value selects defaults.
-// Defaults are decided in exactly one place, core.SwapOptions.WithDefaults,
-// which the swap algorithms apply on entry; the field comments here restate
-// them for reference.
-type SwapOptions struct {
-	// MaxRounds caps swap rounds; 0 means effectively unbounded (the
-	// algorithms stop when no swap fires). Real graphs need 2–9 rounds.
-	MaxRounds int
-	// EarlyStopRounds stops after a fixed number of rounds — the paper
-	// observes ≥97% of swap gain lands in the first three. 0 disables.
-	EarlyStopRounds int
-	// StallRounds stops after this many consecutive zero-gain rounds;
-	// 0 selects 3.
-	StallRounds int
-	// Workers overrides the file's scan parallelism for this call: the
-	// number of goroutines decoding file partitions concurrently during the
-	// algorithm's scans (see WithWorkers). Results are bit-identical for any
-	// value. 0 uses the file's default, 1 forces the sequential engine,
-	// ≤ -1 selects GOMAXPROCS.
-	Workers int
-}
-
-func (o SwapOptions) internal() core.SwapOptions {
-	return core.SwapOptions{
-		MaxRounds:       o.MaxRounds,
-		EarlyStopRounds: o.EarlyStopRounds,
-		StallRounds:     o.StallRounds,
-	}
-}
-
-// Solve runs the named algorithm on f. Swap algorithms are seeded with a
-// fresh Greedy result; use the dedicated methods to control the seed.
-// AlgBaseline on a degree-sorted file is refused (see ErrBaselineOnSorted);
-// construct a Solver with BaselineOnSorted to opt in.
-func (f *File) Solve(alg Algorithm, opts SwapOptions) (*Result, error) {
-	return f.SolveCtx(context.Background(), alg, opts)
-}
-
-// SolveCtx is Solve bound to a context: cancellation or deadline expiry
-// stops the run within one decoded batch of the current scan, and the error
-// wraps ctx.Err() together with the scan position. Equivalent to
-// NewSolver(f, ...).Solve(ctx, alg) with the SwapOptions carried over.
-func (f *File) SolveCtx(ctx context.Context, alg Algorithm, opts SwapOptions) (*Result, error) {
-	return opts.solver(f).Solve(ctx, alg)
 }
 
 // fromCore converts an internal result.

@@ -60,8 +60,10 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	ctx := context.Background()
+	s := mis.NewSolver(f)
 
-	greedy, err := f.Greedy()
+	greedy, err := s.Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,11 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal("Contains wrong")
 	}
 
-	one, err := f.OneKSwap(greedy, mis.SwapOptions{})
+	one, err := s.OneKSwap(ctx, greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := f.TwoKSwap(greedy, mis.SwapOptions{})
+	two, err := s.TwoKSwap(ctx, greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal("swaps shrank the set")
 	}
 
-	bound, err := f.UpperBound()
+	bound, err := s.UpperBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +99,10 @@ func TestFullPipeline(t *testing.T) {
 	if two.Ratio(bound) <= 0 || two.Ratio(bound) > 1 {
 		t.Fatalf("ratio = %f", two.Ratio(bound))
 	}
-	if err := f.VerifyIndependent(two); err != nil {
+	if err := s.VerifyIndependent(ctx, two); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.VerifyMaximal(two); err != nil {
+	if err := s.VerifyMaximal(ctx, two); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,15 +117,17 @@ func TestSolveAllAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	ctx := context.Background()
+	s := mis.NewSolver(f)
 	for _, alg := range mis.Algorithms() {
-		r, err := f.Solve(alg, mis.SwapOptions{})
+		r, err := s.Solve(ctx, alg)
 		if alg == mis.AlgBaseline {
 			// On a degree-sorted file the baseline is refused unless the
 			// caller opts in explicitly.
 			if !errors.Is(err, mis.ErrBaselineOnSorted) {
 				t.Fatalf("baseline on sorted file: err = %v, want ErrBaselineOnSorted", err)
 			}
-			r, err = mis.NewSolver(f, mis.BaselineOnSorted()).Solve(context.Background(), alg)
+			r, err = mis.NewSolver(f, mis.BaselineOnSorted()).Solve(ctx, alg)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
@@ -131,14 +135,14 @@ func TestSolveAllAlgorithms(t *testing.T) {
 		if r.Size == 0 {
 			t.Fatalf("%s: empty result", alg)
 		}
-		if err := f.VerifyIndependent(r); err != nil {
+		if err := s.VerifyIndependent(ctx, r); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if err := f.VerifyMaximal(r); err != nil {
+		if err := s.VerifyMaximal(ctx, r); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 	}
-	if _, err := f.Solve("nonsense", mis.SwapOptions{}); err == nil {
+	if _, err := s.Solve(ctx, "nonsense"); err == nil {
 		t.Fatal("expected error for unknown algorithm")
 	}
 }
@@ -149,10 +153,11 @@ func TestSwapNilInitial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.OneKSwap(nil, mis.SwapOptions{}); err == nil {
+	s := mis.NewSolver(f)
+	if _, err := s.OneKSwap(context.Background(), nil); err == nil {
 		t.Fatal("expected error for nil initial")
 	}
-	if _, err := f.TwoKSwap(nil, mis.SwapOptions{}); err == nil {
+	if _, err := s.TwoKSwap(context.Background(), nil); err == nil {
 		t.Fatal("expected error for nil initial")
 	}
 }
@@ -163,7 +168,7 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.Greedy(); err != nil {
+	if _, err := mis.NewSolver(f).Greedy(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Greedy reads the file once; its two logical passes (marking + fused
@@ -258,7 +263,7 @@ func TestWithBlockSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := f.Greedy()
+	r, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

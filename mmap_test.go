@@ -1,6 +1,7 @@
 package mis_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -22,15 +23,15 @@ func TestWithMmapEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		greedy, err := f.Greedy()
+		greedy, err := mis.NewSolver(f).Greedy(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		improved, err := f.TwoKSwap(greedy, mis.SwapOptions{})
+		improved, err := mis.NewSolver(f).TwoKSwap(context.Background(), greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Verify(improved); err != nil {
+		if err := mis.NewSolver(f).Verify(context.Background(), improved); err != nil {
 			t.Fatal(err)
 		}
 		return greedy.Size, f.Stats()
@@ -58,7 +59,7 @@ func TestWithMmapParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want, err := ref.Greedy()
+	want, err := mis.NewSolver(ref).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +69,14 @@ func TestWithMmapParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.Greedy()
+	got, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Size != want.Size {
 		t.Fatalf("greedy size %d with mmap+workers, %d sequential", got.Size, want.Size)
 	}
-	if err := f.Verify(got); err != nil {
+	if err := mis.NewSolver(f).Verify(context.Background(), got); err != nil {
 		t.Fatal(err)
 	}
 }

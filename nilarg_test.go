@@ -27,14 +27,7 @@ func TestNilArgumentsReturnTypedErrors(t *testing.T) {
 		{"Solver.VerifyColoring", func() error { return s.VerifyColoring(ctx, nil) }},
 		{"Solver.OneKSwap", func() error { _, err := s.OneKSwap(ctx, nil); return err }},
 		{"Solver.TwoKSwap", func() error { _, err := s.TwoKSwap(ctx, nil); return err }},
-		{"File.Verify", func() error { return f.Verify(nil) }},
-		{"File.VerifyCtx", func() error { return f.VerifyCtx(ctx, nil) }},
-		{"File.VerifyIndependent", func() error { return f.VerifyIndependent(nil) }},
-		{"File.VerifyMaximal", func() error { return f.VerifyMaximal(nil) }},
-		{"File.VerifyColoring", func() error { return f.VerifyColoring(nil) }},
-		{"File.VerifyColoringCtx", func() error { return f.VerifyColoringCtx(ctx, nil) }},
-		{"File.OneKSwap", func() error { _, err := f.OneKSwap(nil, mis.SwapOptions{}); return err }},
-		{"File.TwoKSwap", func() error { _, err := f.TwoKSwap(nil, mis.SwapOptions{}); return err }},
+		{"NewMaintainer", func() error { _, err := mis.NewMaintainer(f, nil); return err }},
 	}
 	for _, c := range checks {
 		t.Run(c.name, func(t *testing.T) {

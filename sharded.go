@@ -42,9 +42,7 @@ func OpenSharded(path string, opts ...OpenOption) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{shards: set}
-	f.workers.Store(int32(cfg.workers))
-	return f, nil
+	return &File{shards: set, workers: cfg.workers}, nil
 }
 
 // OpenGraph opens path as whatever kind of graph it is: a sharded graph when

@@ -109,7 +109,7 @@ func TestShardedParityAllAlgorithms(t *testing.T) {
 				if got.IO.PhysicalScans != w.IO.PhysicalScans {
 					t.Errorf("%s: sharded run paid %d physical scans, single fused path pays %d", alg, got.IO.PhysicalScans, w.IO.PhysicalScans)
 				}
-				if err := f.Verify(got); err != nil {
+				if err := mis.NewSolver(f).Verify(context.Background(), got); err != nil {
 					t.Errorf("%s: sharded result fails verification: %v", alg, err)
 				}
 			}
@@ -127,7 +127,7 @@ func TestShardedStatsWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := f.Greedy()
+		r, err := mis.NewSolver(f).Greedy(context.Background())
 		if err != nil {
 			f.Close()
 			t.Fatal(err)
@@ -227,7 +227,7 @@ func TestShardedMaintainerRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := f.Greedy()
+	r, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestShardedMmapParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	want, err := ref.Greedy()
+	want, err := mis.NewSolver(ref).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestShardedMmapParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := f.Greedy()
+	got, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +326,11 @@ func TestShardedRegistry(t *testing.T) {
 	if !f.Sharded() {
 		t.Fatal("registry entry is not sharded")
 	}
-	r, err := f.Greedy()
+	r, err := mis.NewSolver(f).Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Verify(r); err != nil {
+	if err := mis.NewSolver(f).Verify(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,14 +23,14 @@ var ErrBaselineOnSorted = errors.New("mis: baseline requested on a degree-sorted
 // accounts its I/O into a private stat scope that merges into the file's
 // lifetime totals, so several solvers — or several calls on one solver —
 // may run against the same File from different goroutines. Results are
-// bit-identical to the legacy context-free methods for every configuration.
+// bit-identical for every worker count.
 type Solver struct {
 	f   *File
 	cfg solverConfig
 }
 
 type solverConfig struct {
-	swap             SwapOptions
+	swap             core.SwapOptions
 	workers          int
 	onProgress       func(ScanProgress)
 	onRound          func(RoundEvent)
@@ -41,20 +41,19 @@ type solverConfig struct {
 type SolverOption func(*solverConfig)
 
 // MaxRounds caps swap rounds; 0 (the default) means run until no swap fires.
-// See SwapOptions.MaxRounds.
+// Real graphs need 2–9 rounds.
 func MaxRounds(n int) SolverOption {
 	return func(c *solverConfig) { c.swap.MaxRounds = n }
 }
 
 // EarlyStop stops the swap algorithms after a fixed number of rounds — the
 // paper observes ≥97% of swap gain lands in the first three. 0 disables.
-// See SwapOptions.EarlyStopRounds.
 func EarlyStop(n int) SolverOption {
 	return func(c *solverConfig) { c.swap.EarlyStopRounds = n }
 }
 
 // StallRounds stops the swap algorithms after this many consecutive
-// zero-gain rounds; 0 selects the default of 3. See SwapOptions.StallRounds.
+// zero-gain rounds; 0 selects the default of 3.
 func StallRounds(n int) SolverOption {
 	return func(c *solverConfig) { c.swap.StallRounds = n }
 }
@@ -159,6 +158,8 @@ func (s *Solver) Solve(ctx context.Context, alg Algorithm) (*Result, error) {
 }
 
 // Greedy runs Algorithm 1 (one sequential scan; a maximal independent set).
+// On a degree-sorted file this is the paper's GREEDY; on an unsorted file it
+// is the BASELINE competitor.
 func (s *Solver) Greedy(ctx context.Context) (*Result, error) {
 	r, err := core.GreedyCtx(ctx, s.source(), s.hooks())
 	if err != nil {
@@ -167,12 +168,13 @@ func (s *Solver) Greedy(ctx context.Context) (*Result, error) {
 	return fromCore(r), nil
 }
 
-// OneKSwap runs Algorithm 2 starting from the given independent set.
+// OneKSwap runs Algorithm 2 starting from the given independent set
+// (typically a Greedy result).
 func (s *Solver) OneKSwap(ctx context.Context, initial *Result) (*Result, error) {
 	if initial == nil {
 		return nil, nilArg("OneKSwap", "initial set")
 	}
-	r, err := core.OneKSwapCtx(ctx, s.source(), initial.InSet, s.cfg.swap.internal(), s.hooks())
+	r, err := core.OneKSwapCtx(ctx, s.source(), initial.InSet, s.cfg.swap, s.hooks())
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +186,7 @@ func (s *Solver) TwoKSwap(ctx context.Context, initial *Result) (*Result, error)
 	if initial == nil {
 		return nil, nilArg("TwoKSwap", "initial set")
 	}
-	r, err := core.TwoKSwapCtx(ctx, s.source(), initial.InSet, s.cfg.swap.internal(), s.hooks())
+	r, err := core.TwoKSwapCtx(ctx, s.source(), initial.InSet, s.cfg.swap, s.hooks())
 	if err != nil {
 		return nil, err
 	}
@@ -216,8 +218,9 @@ func (s *Solver) ExternalMaximal(ctx context.Context) (*Result, error) {
 }
 
 // RandomizedMaximal computes a maximal independent set with the randomized
-// external rounds of Abello, Buchsbaum and Westbrook. Deterministic per seed
-// for any worker count.
+// external rounds of Abello, Buchsbaum and Westbrook (the paper's related
+// work [2]): random priorities, local minima join, O(log |V|) expected
+// sequential scans. Deterministic per seed for any worker count.
 func (s *Solver) RandomizedMaximal(ctx context.Context, seed int64) (*Result, error) {
 	r, err := core.RandomizedMaximalCtx(ctx, s.source(), seed, s.hooks())
 	if err != nil {
@@ -227,19 +230,23 @@ func (s *Solver) RandomizedMaximal(ctx context.Context, seed int64) (*Result, er
 }
 
 // UpperBound runs Algorithm 5: a one-scan upper bound on the independence
-// number.
+// number, the denominator of the paper's approximation ratios.
 func (s *Solver) UpperBound(ctx context.Context) (uint64, error) {
 	return core.UpperBoundCtx(ctx, s.source(), s.hooks())
 }
 
 // WeiBound returns Wei's degree-based lower bound on the independence
-// number, Σ_v 1/(deg(v)+1), with one sequential scan.
+// number, Σ_v 1/(deg(v)+1), with one sequential scan. Every maximal
+// independent set this library produces is at least this large.
 func (s *Solver) WeiBound(ctx context.Context) (float64, error) {
 	return core.WeiBoundCtx(ctx, s.source(), s.hooks())
 }
 
-// Verify checks independence and maximality together in one fused physical
-// scan (see File.Verify). A nil result is rejected with a typed error
+// Verify checks independence and maximality together. The two checks are
+// logical passes the scan scheduler fuses into a single physical scan —
+// half the I/O of calling VerifyIndependent and VerifyMaximal back to back
+// — with an independence violation reported first, exactly as the
+// sequential calls would. A nil result is rejected with a typed error
 // wrapping ErrNilArgument.
 func (s *Solver) Verify(ctx context.Context, r *Result) error {
 	if r == nil {
@@ -272,8 +279,10 @@ func (s *Solver) VerifyVertexCover(ctx context.Context, cover []bool) error {
 }
 
 // ColorByIS builds a proper coloring by repeatedly extracting a maximal
-// independent set (see File.ColorByIS). ctx cancels between batches and
-// between color classes.
+// independent set and assigning it the next color — one sequential scan per
+// class, O(|V|) memory (the graph-coloring extension the paper's conclusion
+// proposes). maxColors caps the classes (0 = unlimited); exceeding the cap
+// is an error. ctx cancels between batches and between color classes.
 func (s *Solver) ColorByIS(ctx context.Context, maxColors int) (*Coloring, error) {
 	col, err := core.ColorByISCtx(ctx, s.source(), maxColors, s.hooks())
 	if err != nil {
