@@ -88,7 +88,7 @@ func CompressFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	err = in.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+	err = in.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
 		for _, r := range batch {
 			if err := w.Append(r.ID, r.Neighbors); err != nil {
 				return err

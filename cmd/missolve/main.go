@@ -155,7 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verify {
-		// Both checks fuse into one physical scan (see mis.File.Verify).
+		// Both checks fuse into one physical scan (see mis.Solver.Verify).
 		if err := solver.Verify(ctx, r); err != nil {
 			return fail(err)
 		}

@@ -27,7 +27,7 @@ func AblationIO(cfg *Config) error {
 			return err
 		}
 		start := time.Now()
-		r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+		r, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 		elapsed := time.Since(start)
 		f.Close()
 		if err != nil {
@@ -60,19 +60,19 @@ func AblationEarlyStop(cfg *Config) error {
 		return err
 	}
 	defer f.Close()
-	greedy, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+	greedy, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 	if err != nil {
 		return err
 	}
 	cfg.printf("Ablation: early stop — two-k-swap size by round budget (greedy seed %d)\n", greedy.Size)
 	cfg.printf("%12s %10s %12s %10s\n", "budget", "|IS|", "gain kept", "rounds")
-	full, err := core.TwoKSwapCtx(context.Background(), f, greedy.InSet, core.SwapOptions{}, core.Hooks{})
+	full, err := core.TwoKSwapCtx(context.TODO(), f, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
 	fullGain := full.Size - greedy.Size
 	for _, budget := range []int{1, 2, 3} {
-		r, err := core.TwoKSwapCtx(context.Background(), f, greedy.InSet, core.SwapOptions{EarlyStopRounds: budget}, core.Hooks{})
+		r, err := core.TwoKSwapCtx(context.TODO(), f, greedy.InSet, core.SwapOptions{EarlyStopRounds: budget}, core.Hooks{})
 		if err != nil {
 			return err
 		}
@@ -111,19 +111,19 @@ func AblationSort(cfg *Config) error {
 	}
 	defer fu.Close()
 
-	g, err := core.GreedyCtx(context.Background(), fs, core.Hooks{})
+	g, err := core.GreedyCtx(context.TODO(), fs, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	b, err := core.GreedyCtx(context.Background(), fu, core.Hooks{})
+	b, err := core.GreedyCtx(context.TODO(), fu, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	bSwap, err := core.TwoKSwapCtx(context.Background(), fu, b.InSet, core.SwapOptions{}, core.Hooks{})
+	bSwap, err := core.TwoKSwapCtx(context.TODO(), fu, b.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
-	gSwap, err := core.TwoKSwapCtx(context.Background(), fs, g.InSet, core.SwapOptions{}, core.Hooks{})
+	gSwap, err := core.TwoKSwapCtx(context.TODO(), fs, g.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return err
 	}
@@ -158,7 +158,7 @@ func AblationRandomAccess(cfg *Config) error {
 		return err
 	}
 	defer f.Close()
-	g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+	g, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 	if err != nil {
 		return err
 	}
@@ -196,7 +196,7 @@ func AblationPQ(cfg *Config) error {
 			return err
 		}
 		start := time.Now()
-		r, err := core.ExternalMaximalCtx(context.Background(), f, core.ExternalMaximalOptions{
+		r, err := core.ExternalMaximalCtx(context.TODO(), f, core.ExternalMaximalOptions{
 			PQMemoryCapacity: capacity,
 			TempDir:          cfg.WorkDir,
 		}, core.Hooks{})

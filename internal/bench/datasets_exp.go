@@ -76,19 +76,19 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := core.GreedyCtx(context.Background(), fu, core.Hooks{})
+	base, err := core.GreedyCtx(context.TODO(), fu, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
 	}
 	run.baseline = base.Size
-	oneB, err := core.OneKSwapCtx(context.Background(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
+	oneB, err := core.OneKSwapCtx(context.TODO(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
 	}
 	run.oneAfterBase = oneB.Size
-	twoB, err := core.TwoKSwapCtx(context.Background(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
+	twoB, err := core.TwoKSwapCtx(context.TODO(), fu, base.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
@@ -96,7 +96,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.twoAfterBase = twoB.Size
 
 	start := time.Now()
-	ext, err := core.ExternalMaximalCtx(context.Background(), fu, core.ExternalMaximalOptions{TempDir: cfg.WorkDir}, core.Hooks{})
+	ext, err := core.ExternalMaximalCtx(context.TODO(), fu, core.ExternalMaximalOptions{TempDir: cfg.WorkDir}, core.Hooks{})
 	if err != nil {
 		fu.Close()
 		return nil, err
@@ -115,7 +115,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.vertices = fs.NumVertices()
 
 	start = time.Now()
-	greedy, err := core.GreedyCtx(context.Background(), fs, core.Hooks{})
+	greedy, err := core.GreedyCtx(context.TODO(), fs, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.memGreedy = greedy.MemoryBytes
 
 	start = time.Now()
-	one, err := core.OneKSwapCtx(context.Background(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
+	one, err := core.OneKSwapCtx(context.TODO(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.gainsOne = one.RoundGains
 
 	start = time.Now()
-	two, err := core.TwoKSwapCtx(context.Background(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
+	two, err := core.TwoKSwapCtx(context.TODO(), fs, greedy.InSet, core.SwapOptions{}, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (cfg *Config) runDataset(d Dataset) (*datasetRun, error) {
 	run.roundsTwo = two.Rounds
 	run.scPeakTwo = two.SCHighWater
 
-	bound, err := core.UpperBoundCtx(context.Background(), fs, core.Hooks{})
+	bound, err := core.UpperBoundCtx(context.TODO(), fs, core.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +326,7 @@ func Fig5(cfg *Config) error {
 		for _, c := range plrg.CascadeCenters(k) {
 			init[c] = true
 		}
-		r, err := core.OneKSwapCtx(context.Background(), f, init, core.SwapOptions{}, core.Hooks{})
+		r, err := core.OneKSwapCtx(context.TODO(), f, init, core.SwapOptions{}, core.Hooks{})
 		f.Close()
 		if err != nil {
 			return err

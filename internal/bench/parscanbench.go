@@ -6,7 +6,7 @@
 //
 // Methodology: one graph, two file formats (raw and varint/gap compressed),
 // five trials per (format, workers) cell, best-of reported. Every
-// measurement is a full ForEachBatch pass folding record IDs and degrees
+// measurement is a full ForEachBatchCtx pass folding record IDs and degrees
 // into a sink, i.e. the same access pattern as the migrated algorithm
 // passes' cheapest consumer. The partition plan is warmed before timing so
 // the numbers isolate steady-state scan throughput (the plan is built once

@@ -268,7 +268,7 @@ func timeScan(f *gio.File, engine string) (int64, error) {
 			fold(r)
 			return nil
 		}
-		err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+		err = f.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
 			for i := range batch {
 				if err := each(batch[i]); err != nil {
 					return err
@@ -277,7 +277,7 @@ func timeScan(f *gio.File, engine string) (int64, error) {
 			return nil
 		})
 	case "batch", "mmap", "mmap-zerocopy":
-		err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+		err = f.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
 			for _, r := range batch {
 				fold(r)
 			}

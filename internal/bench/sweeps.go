@@ -20,7 +20,7 @@ func avgBound(cfg *Config, beta float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		b, err := core.UpperBoundCtx(context.Background(), f, core.Hooks{})
+		b, err := core.UpperBoundCtx(context.TODO(), f, core.Hooks{})
 		f.Close()
 		if err != nil {
 			return 0, err
@@ -89,7 +89,7 @@ func Table9(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+			r, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 			edgesN := f.NumEdges()
 			f.Close()
 			if err != nil {
@@ -123,22 +123,22 @@ func Fig8(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			bound, err := core.UpperBoundCtx(context.Background(), f, core.Hooks{})
+			bound, err := core.UpperBoundCtx(context.TODO(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+			g, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			one, err := core.OneKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
+			one, err := core.OneKSwapCtx(context.TODO(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			two, err := core.TwoKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
+			two, err := core.TwoKSwapCtx(context.TODO(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			f.Close()
 			if err != nil {
 				return err
@@ -170,12 +170,12 @@ func Fig10(cfg *Config) error {
 			if err != nil {
 				return err
 			}
-			g, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+			g, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 			if err != nil {
 				f.Close()
 				return err
 			}
-			two, err := core.TwoKSwapCtx(context.Background(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
+			two, err := core.TwoKSwapCtx(context.TODO(), f, g.InSet, core.SwapOptions{}, core.Hooks{})
 			f.Close()
 			if err != nil {
 				return err

@@ -56,7 +56,7 @@ func Table1(cfg *Config) error {
 
 	// Measured blocks for one greedy scan, for comparison with the model.
 	before := stats.Snapshot().BlocksRead
-	if _, err := core.GreedyCtx(context.Background(), f, core.Hooks{}); err != nil {
+	if _, err := core.GreedyCtx(context.TODO(), f, core.Hooks{}); err != nil {
 		return err
 	}
 	cfg.printf("measured: one sequential greedy scan read %d buffered blocks (model scan = %d blocks of %d bytes)\n",
@@ -84,13 +84,13 @@ func Lemma1(cfg *Config) error {
 		if err != nil {
 			return err
 		}
-		r, err := core.GreedyCtx(context.Background(), f, core.Hooks{})
+		r, err := core.GreedyCtx(context.TODO(), f, core.Hooks{})
 		if err != nil {
 			f.Close()
 			return err
 		}
 		// One more scan tallies the degrees of the selected vertices.
-		err = f.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+		err = f.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
 			for _, rec := range batch {
 				if r.InSet[rec.ID] && len(rec.Neighbors) <= maxDeg {
 					measured[len(rec.Neighbors)]++

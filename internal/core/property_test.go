@@ -27,7 +27,7 @@ import (
 // model — across a seed sweep and holds every algorithm to the properties
 // the paper claims, on every graph:
 //
-//   - the returned set is independent AND maximal (core.VerifyBoth, itself
+//   - the returned set is independent AND maximal (VerifyBothCtx, itself
 //     a fused pair of scan passes);
 //   - fused and unfused schedules produce bit-identical results (the
 //     cross-round carry, the sweep fusion and the classic dedicated scans

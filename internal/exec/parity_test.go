@@ -360,8 +360,8 @@ func TestPostPlanCorruption(t *testing.T) {
 }
 
 // TestColdStartCapturePar checks the executor's cold start: with no cached
-// plan, the first ForEachBatch runs the sequential engine while capturing the
-// partition plan (one physical pass, no planning side scan), and the second
+// plan, the first ForEachBatchCtx runs the sequential engine while capturing
+// the partition plan (one physical pass, no planning side scan), and the second
 // scan goes parallel off the captured plan — both observationally identical
 // to the sequential engine.
 func TestColdStartCapturePar(t *testing.T) {

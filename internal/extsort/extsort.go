@@ -132,7 +132,7 @@ func (s *sorter) read(src string) ([]uint32, error) {
 	}
 	s.buf = newBuffer(n, in.NumEdges(), s.opts.MemoryBudget)
 	records := 0
-	err = in.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
+	err = in.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
 		for _, r := range batch {
 			if deg[r.ID] != unseen {
 				return fmt.Errorf("%w: %s: vertex %d appears twice", gio.ErrBadFormat, src, r.ID)

@@ -128,7 +128,7 @@ func LoadGraph(path string, stats *Counters) (*graph.Graph, error) {
 	}
 	defer f.Close()
 	b := graph.NewBuilder(f.NumVertices())
-	err = f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
+	err = f.ForEachBatchCtx(context.TODO(), func(batch []Record) error {
 		for _, r := range batch {
 			for _, n := range r.Neighbors {
 				b.AddEdge(r.ID, n)

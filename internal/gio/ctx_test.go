@@ -73,7 +73,8 @@ func TestForEachBatchCtxCancel(t *testing.T) {
 	}
 }
 
-// TestForEachBatchCtxNil: a nil ctx behaves exactly like ForEachBatch.
+// TestForEachBatchCtxNil: a nil ctx never cancels; the scan completes and
+// counts as usual.
 func TestForEachBatchCtxNil(t *testing.T) {
 	var stats Counters
 	f, err := Open(writeCtxFile(t), 0, &stats)

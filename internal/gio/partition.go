@@ -113,7 +113,7 @@ func (g *File) buildCutTable() (*cutTable, error) {
 		return nil, err
 	}
 	defer pf.Close()
-	sc, err := pf.scanCtx(context.Background())
+	sc, err := pf.scanCtx(context.TODO())
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func NewRandomAccessFile(f *File) (*RandomAccessFile, error) {
 		degrees: make([]uint32, n),
 	}
 	off := int64(HeaderSize)
-	err := f.ForEachBatchCtx(context.Background(), func(batch []Record) error {
+	err := f.ForEachBatchCtx(context.TODO(), func(batch []Record) error {
 		for _, r := range batch {
 			ra.offsets[r.ID] = off
 			ra.degrees[r.ID] = uint32(len(r.Neighbors))

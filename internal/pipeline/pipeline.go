@@ -34,7 +34,7 @@ import (
 // pass's Done hook still runs, and co-scheduled passes keep receiving
 // batches. The physical scan is cut short only once every pass in its group
 // has stopped — in which case the aborted scan is not counted in Stats,
-// exactly like a consumer abandoning a plain ForEachBatch.
+// exactly like a consumer abandoning a plain ForEachBatchCtx.
 var ErrStopScan = errors.New("pipeline: stop scan")
 
 // Source is the scan contract every engine serves and every algorithm pass
@@ -330,7 +330,7 @@ func (s *Scheduler) runGroup(group []Pass) error {
 	// scan belongs to the round that resolves them and is counted then, by
 	// ResolveCarried. A scan every pass cut short is not a completed scan
 	// and counted nothing — exactly like a consumer abandoning a plain
-	// ForEachBatch mid-file.
+	// ForEachBatchCtx mid-file.
 	if st := s.src.Stats(); st != nil && err == nil {
 		st.AddScans(len(group) - 1 - carriedInGroup(group))
 	}
