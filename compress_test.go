@@ -52,28 +52,30 @@ func TestCompressedPipeline(t *testing.T) {
 		t.Fatal("degree-sorted flag lost in compression")
 	}
 
+	ctx := context.Background()
+	sr, sc := mis.NewSolver(fr), mis.NewSolver(fc)
 	for _, alg := range []mis.Algorithm{mis.AlgGreedy, mis.AlgTwoKSwap, mis.AlgExternalMaximal} {
-		a, err := mis.NewSolver(fr).Solve(context.Background(), alg)
+		a, err := sr.Solve(ctx, alg)
 		if err != nil {
 			t.Fatalf("%s raw: %v", alg, err)
 		}
-		b, err := mis.NewSolver(fc).Solve(context.Background(), alg)
+		b, err := sc.Solve(ctx, alg)
 		if err != nil {
 			t.Fatalf("%s compressed: %v", alg, err)
 		}
 		if a.Size != b.Size {
 			t.Fatalf("%s: raw %d vs compressed %d", alg, a.Size, b.Size)
 		}
-		if err := mis.NewSolver(fc).VerifyIndependent(context.Background(), b); err != nil {
+		if err := sc.VerifyIndependent(ctx, b); err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 	}
 
-	br, err := mis.NewSolver(fr).UpperBound(context.Background())
+	br, err := sr.UpperBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := mis.NewSolver(fc).UpperBound(context.Background())
+	bc, err := sc.UpperBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

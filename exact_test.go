@@ -31,19 +31,21 @@ func TestExactFacade(t *testing.T) {
 	if exact.Size != 2 {
 		t.Fatalf("C5 independence number = %d, want 2", exact.Size)
 	}
-	if err := mis.NewSolver(f).VerifyIndependent(context.Background(), exact); err != nil {
+	ctx := context.Background()
+	s := mis.NewSolver(f)
+	if err := s.VerifyIndependent(ctx, exact); err != nil {
 		t.Fatal(err)
 	}
 
 	// Greedy can't beat exact, and the bound can't be below it.
-	greedy, err := mis.NewSolver(f).Greedy(context.Background())
+	greedy, err := s.Greedy(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if greedy.Size > exact.Size {
 		t.Fatalf("greedy %d beats exact %d", greedy.Size, exact.Size)
 	}
-	bound, err := mis.NewSolver(f).UpperBound(context.Background())
+	bound, err := s.UpperBound(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,15 +23,17 @@ func TestWithMmapEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		greedy, err := mis.NewSolver(f).Greedy(context.Background())
+		ctx := context.Background()
+		s := mis.NewSolver(f)
+		greedy, err := s.Greedy(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		improved, err := mis.NewSolver(f).TwoKSwap(context.Background(), greedy)
+		improved, err := s.TwoKSwap(ctx, greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := mis.NewSolver(f).Verify(context.Background(), improved); err != nil {
+		if err := s.Verify(ctx, improved); err != nil {
 			t.Fatal(err)
 		}
 		return greedy.Size, f.Stats()

@@ -326,11 +326,12 @@ func TestShardedRegistry(t *testing.T) {
 	if !f.Sharded() {
 		t.Fatal("registry entry is not sharded")
 	}
-	r, err := mis.NewSolver(f).Greedy(context.Background())
+	s := mis.NewSolver(f)
+	r, err := s.Greedy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mis.NewSolver(f).Verify(context.Background(), r); err != nil {
+	if err := s.Verify(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 }
