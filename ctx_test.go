@@ -380,6 +380,51 @@ func TestCancelEveryEntryPoint(t *testing.T) {
 	}
 }
 
+// TestDeadlineBeforeScan: an already-expired context fails without reading
+// the file.
+func TestDeadlineBeforeScan(t *testing.T) {
+	f := openFile(t, genFile(t, 200))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	time.Sleep(time.Millisecond)
+	if _, err := mis.NewSolver(f).Greedy(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if st := f.Stats(); st.RecordsRead != 0 {
+		t.Fatalf("expired context still read %d records", st.RecordsRead)
+	}
+}
+
+// TestCancelExtensions: the routed extension entry points honor contexts
+// too.
+func TestCancelExtensions(t *testing.T) {
+	f := openFile(t, genFile(t, 60000))
+	s := mis.NewSolver(f)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RandomizedMaximal(ctx, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("randomized: err = %v", err)
+	}
+	if _, err := s.WeiBound(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wei bound: err = %v", err)
+	}
+	if _, err := s.ColorByIS(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("coloring: err = %v", err)
+	}
+	if err := s.VerifyVertexCover(ctx, make([]bool, f.NumVertices())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("verify cover: err = %v", err)
+	}
+	if _, err := s.DynamicUpdate(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dynamic update: err = %v", err)
+	}
+	if _, err := s.ExternalMaximal(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("external maximal: err = %v", err)
+	}
+	if _, err := s.UpperBound(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("upper bound: err = %v", err)
+	}
+}
+
 // TestExtensionsUseWorkers: the extension entry points route through the
 // solver's scan engine — a parallel solver must produce results identical to
 // the sequential oracle's.
