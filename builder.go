@@ -1,7 +1,6 @@
 package mis
 
 import (
-	"context"
 	"repro/internal/extsort"
 	"repro/internal/gio"
 	"repro/internal/graph"
@@ -79,26 +78,5 @@ func SortFileByDegree(src, dst string, memoryBudget int) error {
 // inside each record, which no algorithm depends on. One sequential read,
 // one sequential write.
 func CompressFile(src, dst string) error {
-	in, err := gio.Open(src, 0, nil)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	w, err := gio.NewWriter(dst, in.Header().Flags|gio.FlagCompressed, 0, nil)
-	if err != nil {
-		return err
-	}
-	err = in.ForEachBatchCtx(context.TODO(), func(batch []gio.Record) error {
-		for _, r := range batch {
-			if err := w.Append(r.ID, r.Neighbors); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
+	return gio.CompressFile(src, dst, nil)
 }

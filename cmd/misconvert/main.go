@@ -94,29 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	case *comp != "":
-		in, err := gio.Open(*comp, 0, &stats)
-		if err != nil {
-			return fail(err)
-		}
-		w, err := gio.NewWriter(target, in.Header().Flags|gio.FlagCompressed, 0, &stats)
-		if err != nil {
-			in.Close()
-			return fail(err)
-		}
-		err = in.ForEachBatchCtx(context.Background(), func(batch []gio.Record) error {
-			for _, r := range batch {
-				if err := w.Append(r.ID, r.Neighbors); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		in.Close()
-		if err != nil {
-			w.Close()
-			return fail(err)
-		}
-		if err := w.Close(); err != nil {
+		if err := gio.CompressFile(*comp, target, &stats); err != nil {
 			return fail(err)
 		}
 	case *exp != "":

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/plrg"
+	"repro/internal/semiext"
 )
 
 // writeFile writes g under t.TempDir and opens it, degree-sorted or in
@@ -152,6 +153,68 @@ func TestOneTwoWitnessBoundary(t *testing.T) {
 		if got := r.Vertices(); !slices.Equal(got, []uint32{0, 2}) {
 			t.Fatalf("%s: set %v, want [0 2]", alg.name, got)
 		}
+	}
+}
+
+// TestPostSwapPassISNBookkeeping runs the post-swap pass on hand-built
+// states, one record at a time, with IS vertices 5, 6 and 7 and A vertices
+// that named them before the pass. An A vertex whose IS neighbors are the
+// ISN it holds keeps its state, its slots and its singleton's witness
+// count. One whose IS neighbor changed moves a witness from the old
+// singleton to the new one, and a pair whose second member changed is
+// rewritten.
+func TestPostSwapPassISNBookkeeping(t *testing.T) {
+	const (
+		A = semiext.StateAdjacent
+		N = semiext.StateNonIS
+	)
+	for _, two := range []bool{false, true} {
+		states := semiext.NewStates(10)
+		states.Fill(members(10, 5, 6, 7), semiext.StateIS, semiext.StateNonIS)
+		isn := semiext.NewISN(states, two)
+		name := func(u uint32, w ...uint32) {
+			states.Set(u, A)
+			isn.Set(u, w...)
+		}
+		name(0, 5)
+		name(1, 5)
+		name(2, 5)
+		if two {
+			name(3, 6, 7)
+			name(4, 6, 7)
+		}
+		pass := postSwapPass(states, isn, two)
+		// step passes u's record through the pass and checks u's state and
+		// ISN and the witness counts of 5, 6 and 7 after it.
+		step := func(label string, u uint32, neighbors []uint32, state semiext.State, wantISN []uint32, counts [3]uint32) {
+			t.Helper()
+			if err := pass.Batch([]gio.Record{{ID: u, Neighbors: neighbors}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := states.Get(u); got != state {
+				t.Fatalf("two=%v, %s: state %v, want %v", two, label, got, state)
+			}
+			if state == A {
+				w1, w2, c := isn.Get(u)
+				if got := []uint32{w1, w2}[:c]; !slices.Equal(got, wantISN) {
+					t.Fatalf("two=%v, %s: ISN %v, want %v", two, label, got, wantISN)
+				}
+			}
+			for i, w := range []uint32{5, 6, 7} {
+				if got := isn.PreimageCount(w); got != counts[i] {
+					t.Fatalf("two=%v, %s: witness count of %d = %d, want %d", two, label, w, got, counts[i])
+				}
+			}
+		}
+		step("0 still sees only 5", 0, []uint32{8, 5}, A, []uint32{5}, [3]uint32{3, 0, 0})
+		step("1 sees 6 instead of 5", 1, []uint32{6, 8}, A, []uint32{6}, [3]uint32{2, 1, 0})
+		if !two {
+			step("2 sees 5 and 7", 2, []uint32{5, 7}, N, nil, [3]uint32{1, 1, 0})
+			continue
+		}
+		step("2 sees 5 and 7", 2, []uint32{5, 7}, A, []uint32{5, 7}, [3]uint32{1, 1, 0})
+		step("3 still sees 6 and 7", 3, []uint32{6, 9, 7}, A, []uint32{6, 7}, [3]uint32{1, 1, 0})
+		step("4 sees 6 and 5", 4, []uint32{6, 5}, A, []uint32{6, 5}, [3]uint32{1, 1, 0})
 	}
 }
 

@@ -118,15 +118,8 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 
 	states := semiext.NewStates(n)
 	isn := semiext.NewISN(states, false)
-	size := 0
-	for v, in := range initial {
-		if in {
-			states.Set(uint32(v), semiext.StateIS)
-			size++
-		} else {
-			states.Set(uint32(v), semiext.StateNonIS)
-		}
-	}
+	states.Fill(initial, semiext.StateIS, semiext.StateNonIS)
+	size := states.Count(semiext.StateIS)
 
 	// Setup scan (Algorithm 2 lines 1–3): find A vertices and their ISN,
 	// validating independence of the input along the way. Round 1's
@@ -163,7 +156,7 @@ func OneKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 		}
 		res.RoundIO = append(res.RoundIO, statsDelta(f.Stats(), roundSnap))
 		res.Rounds++
-		newSize := states.CountIS()
+		newSize := states.Count(semiext.StateIS)
 		res.RoundGains = append(res.RoundGains, newSize-size)
 		rn.hooks.round(RoundEvent{
 			Round: res.Rounds,
@@ -277,15 +270,14 @@ func oneKRound(f Source, states semiext.States, isn *semiext.ISN, opts SwapOptio
 
 	// Swap step (lines 15–19). Pure state-array pass: no file access.
 	canSwap := false
-	for v := 0; v < states.Len(); v++ {
-		switch states.Get(uint32(v)) {
-		case semiext.StateProtected:
-			isn.Join(uint32(v))
-		case semiext.StateRetrograde:
-			states.Set(uint32(v), semiext.StateNonIS)
-			canSwap = true
+	states.ForEachIn(semiext.StateProtected, semiext.StateRetrograde, func(v uint32, s semiext.State) {
+		if s == semiext.StateProtected {
+			isn.Join(v)
+			return
 		}
-	}
+		states.Set(v, semiext.StateNonIS)
+		canSwap = true
+	})
 	opts.tracePhase(round, "swap", states)
 
 	// Post-swap scan (lines 20–28), with the maximality sweep fused in when
@@ -394,6 +386,14 @@ func hasOneTwoWitness(states semiext.States, isn *semiext.ISN, w uint32, neighbo
 	return true
 }
 
+// sameISN reports whether the A vertex u's ISN is exactly what countIS
+// found among its neighbors: c IS neighbors, e1 and (for a pair) e2, in
+// the order countIS returns them.
+func sameISN(isn *semiext.ISN, u uint32, c int, e1, e2 uint32) bool {
+	w1, w2, n := isn.Get(u)
+	return n == c && w1 == e1 && (n == 1 || w2 == e2)
+}
+
 // postSwapPass builds the post-swap scan (Algorithm 2 lines 20–28; with two
 // set, Algorithm 3 lines 15–23) as a logical pass: 0↔1 swaps and
 // recomputation of A states and ISN sets for the next round.
@@ -418,14 +418,21 @@ func postSwapPass(states semiext.States, isn *semiext.ISN, two bool) pipeline.Pa
 			for i := range batch {
 				r := &batch[i]
 				u := r.ID
-				switch states.Get(u) {
-				case semiext.StateAdjacent:
-					isn.Clear(u)
-				case semiext.StateNonIS, semiext.StateConflict:
-				default:
+				was := states.Get(u)
+				if was != semiext.StateAdjacent && was != semiext.StateNonIS && was != semiext.StateConflict {
 					continue
 				}
-				switch c, e1, e2 := countIS(states, r.Neighbors, limit); {
+				c, e1, e2 := countIS(states, r.Neighbors, limit)
+				if was == semiext.StateAdjacent {
+					if sameISN(isn, u, c, e1, e2) {
+						// u stays A with the ISN it holds: clearing and
+						// setting it again would take one from its
+						// singleton's witness count and give it back.
+						continue
+					}
+					isn.Clear(u)
+				}
+				switch {
 				case c == 1:
 					states.Set(u, semiext.StateAdjacent)
 					isn.Set(u, e1)

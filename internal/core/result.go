@@ -89,13 +89,7 @@ func newResult(n int) *Result {
 // array. The swap algorithms call it after their rounds, so InSet is not
 // part of their peak footprint.
 func (r *Result) collectIS(states semiext.States) {
-	r.InSet = make([]bool, states.Len())
-	for v := 0; v < states.Len(); v++ {
-		if states.Get(uint32(v)) == semiext.StateIS {
-			r.InSet[v] = true
-			r.Size++
-		}
-	}
+	r.InSet, r.Size = states.Expand(semiext.StateIS)
 }
 
 // setFromMembers builds membership from a vertex list.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/plrg"
 	"repro/internal/semiext"
 )
@@ -163,6 +165,38 @@ func TestTracePhaseOrder(t *testing.T) {
 		}
 		if tr.rounds[base] != i+1 {
 			t.Fatalf("round numbering wrong at %d: %d", base, tr.rounds[base])
+		}
+	}
+}
+
+// TestTwoKPassengerConflict pins the one P neighbor an A vertex can meet in
+// two-k-swap's pre-swap: a skeleton passenger, which unlike a promoted
+// vertex does not demote its A neighbors. IS vertices 0 and 1 are shared by
+// 2, 3 and 4; scanned in ID order, 3 records the SC pair (3, 2) and 4 fires
+// it with 2 and 3 as passengers. 5 is adjacent to the passenger 2 and
+// shares its IS neighbor 6 with 7, a 1-2 swap that must not fire: 5 turns C
+// and 7, left without a witness, stays A.
+func TestTwoKPassengerConflict(t *testing.T) {
+	g := graph.FromEdges(8, [][2]uint32{
+		{2, 0}, {2, 1}, {3, 0}, {3, 1}, {4, 0}, {4, 1}, {2, 5}, {5, 6}, {7, 6},
+	})
+	f := writeFile(t, g, false)
+	for _, unfused := range []bool{false, true} {
+		var tr snapshotTrace
+		r, err := TwoKSwapCtx(context.Background(), f, members(8, 0, 1, 6), SwapOptions{Unfused: unfused, OnPhase: tr.hook}, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const (
+			I, A, P = semiext.StateIS, semiext.StateAdjacent, semiext.StateProtected
+			C, R    = semiext.StateConflict, semiext.StateRetrograde
+		)
+		want := []semiext.State{R, R, P, P, P, C, I, A}
+		if got := tr.at(1, "pre-swap"); !slices.Equal(got, want) {
+			t.Fatalf("unfused=%v: round-1 pre-swap states %v, want %v", unfused, got, want)
+		}
+		if got := r.Vertices(); !slices.Equal(got, []uint32{2, 3, 4, 6}) {
+			t.Fatalf("unfused=%v: set %v, want [2 3 4 6]", unfused, got)
 		}
 	}
 }

@@ -46,6 +46,11 @@ type twoKState struct {
 	// canSwap is set by the swap pass when any R vertex actually left the
 	// set this round.
 	canSwap bool
+
+	// passengers is set once a fired skeleton has made a passenger P this
+	// round. Until then an A vertex has no P neighbor: every other P vertex
+	// was promoted, which demoted its A neighbors to C.
+	passengers bool
 }
 
 // TwoKSwapCtx runs Algorithms 3 and 4: starting from the independent set
@@ -95,15 +100,8 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 	if !opts.Unfused {
 		st.carry = newCarryCollector(states)
 	}
-	size := 0
-	for v, in := range initial {
-		if in {
-			st.states.Set(uint32(v), semiext.StateIS)
-			size++
-		} else {
-			st.states.Set(uint32(v), semiext.StateNonIS)
-		}
-	}
+	states.Fill(initial, semiext.StateIS, semiext.StateNonIS)
+	size := states.Count(semiext.StateIS)
 
 	// Setup scan (Algorithm 3 lines 1–3): A vertices with one or two IS
 	// neighbors. Round 1's pre-swap collection rides it.
@@ -134,7 +132,7 @@ func TwoKSwapCtx(ctx context.Context, f Source, initial []bool, opts SwapOptions
 		}
 		res.RoundIO = append(res.RoundIO, statsDelta(f.Stats(), roundSnap))
 		res.Rounds++
-		newSize := st.states.CountIS()
+		newSize := st.states.Count(semiext.StateIS)
 		res.RoundGains = append(res.RoundGains, newSize-size)
 		rn.hooks.round(RoundEvent{
 			Round: res.Rounds,
@@ -186,6 +184,7 @@ func (st *twoKState) round(f Source, opts SwapOptions, rn run, round int, lastBy
 	st.groups.reset()
 	st.index.Reset()
 	st.pairAppends = 0
+	st.passengers = false
 
 	if st.carry != nil && st.carry.ready() {
 		// Replay both carried passes against the completed product of the
@@ -262,12 +261,15 @@ func (st *twoKState) preSwapRecord(u uint32, neighbors []uint32) {
 	if st.states.Get(u) != semiext.StateAdjacent {
 		return
 	}
-	// Conflict (Algorithm 4 lines 3–4): a neighbor already holds P.
-	for _, nb := range neighbors {
-		if st.states.Get(nb) == semiext.StateProtected {
-			st.states.Set(u, semiext.StateConflict)
-			st.isn.Clear(u)
-			return
+	// Conflict (Algorithm 4 lines 3–4): a neighbor already holds P. Only a
+	// skeleton passenger can be that neighbor (see twoKState.passengers).
+	if st.passengers {
+		for _, nb := range neighbors {
+			if st.states.Get(nb) == semiext.StateProtected {
+				st.states.Set(u, semiext.StateConflict)
+				st.isn.Clear(u)
+				return
+			}
 		}
 	}
 
@@ -346,6 +348,7 @@ func (st *twoKState) fireSkeleton(u, w1, w2 uint32, neighbors []uint32) bool {
 			st.isn.Clear(m)
 			st.groups.assign(m, gi)
 		}
+		st.passengers = true
 		st.index.Free(w1, w2)
 		return true
 	}

@@ -206,6 +206,35 @@ func ImportEdgeListFile(src, dst string, stats *Counters) error {
 	return WriteGraphSorted(dst, g, stats)
 }
 
+// CompressFile rewrites the adjacency file at src into dst with
+// varint/delta-encoded neighbor lists, keeping the record order and every
+// header flag (see FlagCompressed). One sequential read, one sequential
+// write, both counted in stats.
+func CompressFile(src, dst string, stats *Counters) error {
+	in, err := Open(src, 0, stats)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	w, err := NewWriter(dst, in.Header().Flags|FlagCompressed, 0, stats)
+	if err != nil {
+		return err
+	}
+	err = in.ForEachBatchCtx(context.TODO(), func(batch []Record) error {
+		for _, r := range batch {
+			if err := w.Append(r.ID, r.Neighbors); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
 // WriteEdgeListText writes g as a text edge list (one "u v" per line, u < v).
 func WriteEdgeListText(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)

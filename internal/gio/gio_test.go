@@ -441,7 +441,7 @@ func TestFormatBytes(t *testing.T) {
 }
 
 // TestScanAfterClose pins that advancing a Scanner after File.Close (or
-// after a new Scan supersedes it) reports an error instead of blocking on
+// after a new scan supersedes it) reports an error instead of blocking on
 // the shut-down prefetch pipeline.
 func TestScanAfterClose(t *testing.T) {
 	g := randomGraph(7, 400, 4000)
@@ -457,8 +457,8 @@ func TestScanAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Next() {
-		t.Fatalf("first record: %v", sc.Err())
+	if sc.NextBatch() == nil {
+		t.Fatalf("first batch: %v", sc.Err())
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -466,13 +466,13 @@ func TestScanAfterClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for sc.Next() { // must terminate, with or without records
+		for sc.NextBatch() != nil { // must terminate, with or without records
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Scanner.Next deadlocked after File.Close")
+		t.Fatal("Scanner.NextBatch deadlocked after File.Close")
 	}
 }
 

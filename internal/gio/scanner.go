@@ -277,9 +277,8 @@ const (
 )
 
 // Scanner iterates the records of one sequential scan. Records are decoded
-// in batches from in-memory blocks: NextBatch exposes whole batches with
-// amortized allocation, while Next/Record retain the familiar one-record
-// interface on top of the same engine.
+// in batches from in-memory blocks, and NextBatch exposes whole batches with
+// amortized allocation.
 type Scanner struct {
 	file *File
 	pf   *prefetcher
@@ -288,10 +287,8 @@ type Scanner struct {
 	pos   int    // decode position within win
 	ioErr error  // terminal read error from the pipeline (io.EOF at EOF)
 
-	recs    []Record // current batch; Neighbors are views into win or arena
-	arena   []uint32 // neighbor storage shared by the whole batch
-	nextRec int      // Next()'s cursor within recs
-	rec     Record   // Next()'s current record
+	recs  []Record // current batch; Neighbors are views into win or arena
+	arena []uint32 // neighbor storage shared by the whole batch
 
 	// views marks a raw scan whose batches keep their Neighbors as views of
 	// the window (see fillRaw): little-endian hosts, unless the
@@ -421,7 +418,6 @@ func (s *Scanner) SwapBuffers(recs []Record, arena []uint32) ([]Record, []uint32
 	}
 	oldRecs, oldArena := s.recs, s.arena
 	s.recs, s.arena = recs[:0], arena[:0]
-	s.nextRec = 0
 	return oldRecs, oldArena
 }
 
@@ -436,37 +432,12 @@ func (s *Scanner) offset() int64 {
 // Neighbors slices of its records are reused by the following NextBatch
 // call.
 func (s *Scanner) NextBatch() []Record {
-	if s.nextRec < len(s.recs) {
-		// Mixed Next/NextBatch use: hand out the unconsumed tail first.
-		out := s.recs[s.nextRec:]
-		s.nextRec = len(s.recs)
-		return out
-	}
 	s.fillBatch()
-	s.nextRec = len(s.recs)
 	if len(s.recs) == 0 {
 		return nil
 	}
 	return s.recs
 }
-
-// Next advances to the next record. It returns false at end of scan or on
-// error; check Err afterwards.
-func (s *Scanner) Next() bool {
-	if s.nextRec >= len(s.recs) {
-		s.fillBatch()
-		if len(s.recs) == 0 {
-			return false
-		}
-	}
-	s.rec = s.recs[s.nextRec]
-	s.nextRec++
-	return true
-}
-
-// Record returns the current record. Its Neighbors slice is reused once the
-// scanner advances past the current batch.
-func (s *Scanner) Record() Record { return s.rec }
 
 // Err returns the first error encountered by the scan, if any.
 func (s *Scanner) Err() error { return s.err }
@@ -477,7 +448,6 @@ func (s *Scanner) Err() error { return s.err }
 // in a file is never read into the window's accounting.
 func (s *Scanner) fillBatch() {
 	s.recs = s.recs[:0]
-	s.nextRec = 0
 	if s.err != nil || s.done {
 		if s.mapped {
 			s.close() // a reference fail kept for a failed batch

@@ -49,3 +49,53 @@ func sumStates(st States, idx []uint32) int {
 	}
 	return sum
 }
+
+// BenchmarkStatesWholeArray times the word-at-a-time operations over the
+// state array of a 262k-vertex graph with random states, beside the
+// per-vertex Get loop that Count replaced. One op is one pass over the
+// array; ns/vertex is per vertex.
+func BenchmarkStatesWholeArray(b *testing.B) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	st := NewStates(n)
+	in := make([]bool, n)
+	for v := uint32(0); v < n; v++ {
+		st.Set(v, State(rng.Intn(int(StateRetrograde)+1)))
+		in[v] = rng.Intn(2) == 0
+	}
+	fill := NewStates(n)
+	for _, op := range []struct {
+		name string
+		run  func() int
+	}{
+		{"fill", func() int { fill.Fill(in, StateIS, StateNonIS); return 0 }},
+		{"count", func() int { return st.Count(StateIS) }},
+		{"count-per-vertex", func() int { return countPerVertex(st, StateIS) }},
+		{"expand", func() int { _, c := st.Expand(StateIS); return c }},
+		{"foreach-in", func() int {
+			c := 0
+			st.ForEachIn(StateProtected, StateRetrograde, func(uint32, State) { c++ })
+			return c
+		}},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			sum := 0
+			for b.Loop() {
+				sum += op.run()
+			}
+			statesSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vertex")
+		})
+	}
+}
+
+// countPerVertex is Count's per-vertex reference: one Get per vertex.
+func countPerVertex(st States, s State) int {
+	c := 0
+	for v := range st.Len() {
+		if st.Get(uint32(v)) == s {
+			c++
+		}
+	}
+	return c
+}

@@ -2,6 +2,7 @@ package semiext
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -25,12 +26,16 @@ func TestStatesCollect(t *testing.T) {
 	st.Set(1, StateIS)
 	st.Set(3, StateIS)
 	st.Set(4, StateAdjacent)
-	if st.CountIS() != 2 {
-		t.Fatalf("CountIS = %d", st.CountIS())
+	if st.Count(StateIS) != 2 {
+		t.Fatalf("Count(I) = %d", st.Count(StateIS))
 	}
-	got := st.Collect(StateIS)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Collect = %v", got)
+	if in, c := st.Expand(StateIS); c != 2 || !slices.Equal(in, []bool{false, true, false, true, false}) {
+		t.Fatalf("Expand(I) = %v, %d", in, c)
+	}
+	var got []uint32
+	st.ForEachIn(StateIS, StateAdjacent, func(v uint32, s State) { got = append(got, v) })
+	if !slices.Equal(got, []uint32{1, 3, 4}) {
+		t.Fatalf("ForEachIn(I, A) visited %v", got)
 	}
 	if st.MemoryBytes() != 3 {
 		t.Fatalf("MemoryBytes = %d, want 3 (5 vertices packed 2 per byte)", st.MemoryBytes())
@@ -82,6 +87,101 @@ func TestStatesPackedFootprint(t *testing.T) {
 		if st.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, st.Len())
 		}
+	}
+}
+
+// TestStatesWholeArrayOps holds each word-at-a-time operation to a
+// per-vertex Get/Set reference: random arrays over all seven states, of
+// every length from 0 to 70 (every position a short last word can end at)
+// and of a few large odd and even lengths. An odd length ends in a padding
+// nibble, which reads as StateInitial: Count and Expand of StateInitial
+// and ForEachIn must not report it, and Fill must leave it zero.
+func TestStatesWholeArrayOps(t *testing.T) {
+	all := []State{StateInitial, StateIS, StateNonIS, StateAdjacent,
+		StateProtected, StateConflict, StateRetrograde}
+	rng := rand.New(rand.NewSource(1))
+	var lengths []int
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1001, 1024, 4099, 65538)
+	for _, n := range lengths {
+		random := func() (States, []State) {
+			st, want := NewStates(n), make([]State, n)
+			for v := range want {
+				want[v] = all[rng.Intn(len(all))]
+				st.Set(uint32(v), want[v])
+			}
+			return st, want
+		}
+		st, want := random()
+		for _, s := range all {
+			ref, count := make([]bool, n), 0
+			for v := range want {
+				if want[v] == s {
+					ref[v] = true
+					count++
+				}
+			}
+			if got := st.Count(s); got != count {
+				t.Fatalf("n=%d: Count(%v) = %d, want %d", n, s, got, count)
+			}
+			if in, got := st.Expand(s); got != count || !slices.Equal(in, ref) {
+				t.Fatalf("n=%d: Expand(%v) = %v, %d, want %v, %d", n, s, in, got, ref, count)
+			}
+			for _, b := range all {
+				var visited, wantVisited []uint32
+				st.ForEachIn(s, b, func(v uint32, got State) {
+					if got != want[v] {
+						t.Fatalf("n=%d: ForEachIn(%v, %v) handed vertex %d state %v, want %v", n, s, b, v, got, want[v])
+					}
+					visited = append(visited, v)
+				})
+				for v := range want {
+					if want[v] == s || want[v] == b {
+						wantVisited = append(wantVisited, uint32(v))
+					}
+				}
+				if !slices.Equal(visited, wantVisited) {
+					t.Fatalf("n=%d: ForEachIn(%v, %v) visited %v, want %v", n, s, b, visited, wantVisited)
+				}
+			}
+
+			// Fill over random contents must rewrite every vertex.
+			no := all[rng.Intn(len(all))]
+			filled, _ := random()
+			filled.Fill(ref, s, no)
+			for v := range ref {
+				exp := no
+				if ref[v] {
+					exp = s
+				}
+				if got := filled.Get(uint32(v)); got != exp {
+					t.Fatalf("n=%d: Fill(yes=%v, no=%v): Get(%d) = %v, want %v", n, s, no, v, got, exp)
+				}
+			}
+			if n%2 == 1 && filled.b[n/2]>>4 != 0 {
+				t.Fatalf("n=%d: Fill(yes=%v, no=%v) wrote the padding nibble", n, s, no)
+			}
+		}
+
+		// The swap step's pattern: the callback moves each vertex it is
+		// handed to another state, and every other vertex keeps its own.
+		moved := map[State]State{StateProtected: StateIS, StateRetrograde: StateNonIS}
+		st.ForEachIn(StateProtected, StateRetrograde, func(v uint32, s State) { st.Set(v, moved[s]) })
+		for v, s := range want {
+			if m, ok := moved[s]; ok {
+				s = m
+			}
+			if got := st.Get(uint32(v)); got != s {
+				t.Fatalf("n=%d: after the swap-step ForEachIn, Get(%d) = %v, want %v", n, v, got, s)
+			}
+		}
+	}
+
+	// A fresh odd-length array is all StateInitial, padding nibble included.
+	if got := NewStates(33).Count(StateInitial); got != 33 {
+		t.Fatalf("NewStates(33).Count(Initial) = %d, want 33", got)
 	}
 }
 

@@ -13,6 +13,12 @@
 // count, while a reinstated R vertex keeps its own.
 package semiext
 
+import (
+	"encoding/binary"
+	"math/bits"
+	"unsafe"
+)
+
 // State is a vertex's swap state (Table 3 of the paper).
 type State uint8
 
@@ -70,6 +76,11 @@ const NoVertex = ^uint32(0)
 // the densest packing whose accessors stay a single shift-and-mask on the
 // scan hot path. Like a slice, a States value shares its backing storage
 // when copied.
+//
+// Get and Set touch one vertex. The whole-array operations — Fill, Count,
+// Expand and ForEachIn — work a word at a time instead: they read or write
+// 16 vertices per uint64 and test all 16 against a state at once. An
+// odd-length array ends in a padding nibble that no operation reports.
 type States struct {
 	n int
 	b []byte
@@ -97,26 +108,157 @@ func (st States) Set(v uint32, s State) {
 // nibbleShift is the bit offset of vertex v's nibble within its byte.
 func nibbleShift(v uint32) uint32 { return (v & 1) << 2 }
 
-// CountIS returns the number of vertices in state I.
-func (st States) CountIS() int {
+// nibbleLow has the lowest bit of every nibble set: times a state, it is a
+// word of 16 vertices in that state.
+const nibbleLow = 0x1111111111111111
+
+// words returns the number of words the array spans: word k holds vertices
+// 16k … 16k+15, vertex 16k in its lowest nibble.
+func (st States) words() int { return (st.n + 15) / 16 }
+
+// word returns word k. The last word may be short; its missing bytes read
+// as zero.
+func (st States) word(k int) uint64 {
+	b := st.b[8*k:]
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var w uint64
+	for i, x := range b {
+		w |= uint64(x) << (8 * i)
+	}
+	return w
+}
+
+// putWord stores word k, dropping the bytes a short last word lacks.
+func (st States) putWord(k int, w uint64) {
+	b := st.b[8*k:]
+	if len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, w)
+		return
+	}
+	for i := range b {
+		b[i] = byte(w >> (8 * i))
+	}
+}
+
+// valid returns the nibbleLow bits of word k's vertices: all 16 but in the
+// last word, where the vertices past n (a padding nibble among them) are
+// left out.
+func (st States) valid(k int) uint64 {
+	if rem := st.n - 16*k; rem < 16 {
+		return nibbleLow >> (64 - 4*rem)
+	}
+	return nibbleLow
+}
+
+// match returns the vertices of word w in state s, as the lowest bit of
+// each matching nibble. A nibble equals s exactly when its XOR with s is
+// zero, and the two shifts fold each nibble's four bits into its lowest.
+func match(w uint64, s State) uint64 {
+	x := w ^ nibbleLow*uint64(s)
+	x |= x >> 2
+	x |= x >> 1
+	return ^x & nibbleLow
+}
+
+// Fill sets every vertex v to yes when in[v] is true and to no otherwise.
+// in must have one entry per vertex.
+func (st States) Fill(in []bool, yes, no State) {
+	if len(in) != st.n {
+		panic("semiext: States.Fill needs one entry per vertex")
+	}
+	b := boolBytes(in)
+	base, flip := nibbleLow*uint64(no), uint64(yes^no)
+	for k := range st.words() {
+		// Each true entry turns its nibble of base from no into yes; the
+		// padding nibble stays zero.
+		st.putWord(k, (base^packBools(b[16*k:])*flip)&(st.valid(k)*0x0f))
+	}
+}
+
+// Count returns the number of vertices in state s.
+func (st States) Count(s State) int {
 	c := 0
-	for v := 0; v < st.n; v++ {
-		if st.Get(uint32(v)) == StateIS {
-			c++
-		}
+	for k := range st.words() {
+		c += bits.OnesCount64(match(st.word(k), s) & st.valid(k))
 	}
 	return c
 }
 
-// Collect returns the IDs of all vertices in the given state, ascending.
-func (st States) Collect(want State) []uint32 {
-	var out []uint32
-	for v := 0; v < st.n; v++ {
-		if st.Get(uint32(v)) == want {
-			out = append(out, uint32(v))
+// Expand returns the membership of state s — in[v] is true exactly when
+// vertex v is in state s — and the number of such vertices.
+func (st States) Expand(s State) (in []bool, count int) {
+	in = make([]bool, st.n)
+	b := boolBytes(in)
+	for k := range st.words() {
+		m := match(st.word(k), s) & st.valid(k)
+		count += bits.OnesCount64(m)
+		unpackBools(b[16*k:], m)
+	}
+	return in, count
+}
+
+// ForEachIn calls fn for every vertex in state a or b, in ID order, with
+// the vertex's state. fn may change the state of the vertex it is handed;
+// a word is read before its vertices are visited, so a change fn makes to
+// a later vertex of the same word can go unseen.
+func (st States) ForEachIn(a, b State, fn func(v uint32, s State)) {
+	for k := range st.words() {
+		w := st.word(k)
+		for m := (match(w, a) | match(w, b)) & st.valid(k); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			fn(uint32(16*k+j/4), State(w>>j&0x0f))
 		}
 	}
-	return out
+}
+
+// boolBytes views in as the bytes that hold it: Go stores a bool as one
+// byte, 1 for true and 0 for false.
+func boolBytes(in []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(in))), len(in))
+}
+
+// packBools returns the first 16 bytes of b (all of b when shorter), each
+// 0 or 1, as the lowest bits of a word's nibbles: byte j at bit 4j.
+func packBools(b []byte) uint64 {
+	if len(b) >= 16 {
+		return gather(binary.LittleEndian.Uint64(b)) | gather(binary.LittleEndian.Uint64(b[8:]))<<32
+	}
+	var m uint64
+	for j, x := range b {
+		m |= uint64(x) << (4 * j)
+	}
+	return m
+}
+
+// unpackBools undoes packBools: it stores bit 4j of m, 0 or 1, into b[j]
+// for the first 16 bytes of b (all of b when shorter).
+func unpackBools(b []byte, m uint64) {
+	if len(b) >= 16 {
+		binary.LittleEndian.PutUint64(b, scatter(m&0xffffffff))
+		binary.LittleEndian.PutUint64(b[8:], scatter(m>>32))
+		return
+	}
+	for j := range b {
+		b[j] = byte(m >> (4 * j) & 1)
+	}
+}
+
+// gather moves bit 8j of x to bit 4j for j < 8, halving the spacing in
+// three steps; x must have no other bits set.
+func gather(x uint64) uint64 {
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0xffffffff
+}
+
+// scatter is gather's inverse: it moves bit 4j of x to bit 8j for j < 8;
+// x must have no other bits set.
+func scatter(x uint64) uint64 {
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	return (x | x<<4) & 0x0101010101010101
 }
 
 // Snapshot expands the packed array into one State per vertex — the unpacked
